@@ -2,24 +2,19 @@
 
 The single-process :class:`~repro.net.server.AsyncSourceServer` runs
 one event loop on one core; :class:`SourceCluster` scales the same
-service across cores without changing what the wire says:
+service across cores without changing what the wire says.
 
-- **Process lane** (default where ``SO_REUSEPORT`` exists): each worker
-  process runs its own event loop and service, binds its *own* socket
-  to the shared ``(host, port)`` with ``SO_REUSEPORT``, and the kernel
-  load-balances accepted connections across workers.  Source tables
-  are not copied per worker: the parent publishes each table once
-  through :func:`repro.core.shmtable.share_table` and every worker
-  attaches the read-only :class:`~repro.core.shmtable.FrozenTableView`
-  (falling back to a pickled copy where shared memory is unavailable).
-- **Thread lane** (fallback, or ``mode="thread"``): one process, N
-  event loops on N threads sharing a single
-  :class:`~repro.net.server.SourceService` (its per-source locks make
-  that safe); a tiny acceptor thread takes connections off one
-  listening socket and deals them round-robin to the loops via
-  :meth:`AsyncSourceServer.adopt`.
+Each worker process runs its own event loop and service, binds its
+*own* socket to the shared ``(host, port)`` with ``SO_REUSEPORT``, and
+the kernel load-balances accepted connections across workers.  Source
+tables are not copied per worker: the parent publishes each table once
+through :func:`repro.core.shmtable.share_table` and every worker
+attaches the read-only :class:`~repro.core.shmtable.FrozenTableView`
+(falling back to a pickled copy where shared memory is unavailable).
+``SO_REUSEPORT`` is required; without it :class:`SourceCluster` refuses
+to start.
 
-Either way the control plane is the same: :meth:`SourceCluster.snapshot`
+The control plane is a pipe per worker: :meth:`SourceCluster.snapshot`
 collects per-worker state **in fixed worker order** and
 :class:`ClusterSnapshot` merges it deterministically — counters and
 histograms add, per-source round totals sum, rate-limiter windows
@@ -29,10 +24,10 @@ only placement-invariant facts: rounds per source, requests by route
 and status, limiter totals — never per-worker cache hit counts or
 latency buckets, which depend on which worker a connection landed on).
 
-Politeness caveat: in the process lane each worker enforces the rate
-limit independently (limiter state is process-local), so a clustered
-deployment's effective quota is up to ``workers ×`` the configured
-one.  See :class:`~repro.server.limits.RateLimiterSpec`.
+Politeness caveat: each worker enforces the rate limit independently
+(limiter state is process-local), so a clustered deployment's
+effective quota is up to ``workers ×`` the configured one.  See
+:class:`~repro.server.limits.RateLimiterSpec`.
 """
 
 from __future__ import annotations
@@ -461,16 +456,15 @@ class SourceCluster:
     ----------
     sources:
         ``name -> SimulatedWebDatabase``, exactly as for
-        :class:`~repro.net.server.SourceService`.  In the process lane
-        each worker rebuilds its own instances from
-        :class:`SourceRecipe` (tables shared via shm); the caller's
-        instances are left untouched.
+        :class:`~repro.net.server.SourceService`.  Each worker rebuilds
+        its own instances from :class:`SourceRecipe` (tables shared via
+        shm); the caller's instances are left untouched.
     workers:
-        Event loops to run.  1 is legal (useful for like-for-like
+        Worker processes to run.  1 is legal (useful for like-for-like
         comparisons against the single-process lane).
     mode:
-        ``"auto"`` (processes where ``SO_REUSEPORT`` exists, threads
-        otherwise), ``"process"``, or ``"thread"``.
+        Only ``"process"`` is accepted; anything else raises
+        :class:`ValueError`.
     rate_limiter:
         A spec (not a live limiter — limiters do not cross processes);
         each worker builds its own.
@@ -494,7 +488,7 @@ class SourceCluster:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 2,
-        mode: str = "auto",
+        mode: str = "process",
         rate_limiter: Optional[RateLimiterSpec] = None,
         expose_truth: bool = True,
         page_cache_size: int = 4096,
@@ -506,11 +500,11 @@ class SourceCluster:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if mode not in ("auto", "process", "thread"):
+        if mode != "process":
             raise ValueError(f"unknown cluster mode {mode!r}")
-        if mode == "process" and not reuseport_supported():
+        if not reuseport_supported():
             raise RuntimeError(
-                "mode='process' needs SO_REUSEPORT, unavailable here"
+                "SourceCluster needs SO_REUSEPORT, unavailable here"
             )
         if isinstance(rate_limiter, RateLimiter):  # be forgiving
             rate_limiter = RateLimiterSpec.from_limiter(rate_limiter)
@@ -518,11 +512,7 @@ class SourceCluster:
         self.host = host
         self.port = port
         self.workers = workers
-        self.mode = (
-            mode
-            if mode != "auto"
-            else ("process" if reuseport_supported() else "thread")
-        )
+        self.mode = mode
         self.limiter_spec = rate_limiter
         self.expose_truth = expose_truth
         self.page_cache_size = page_cache_size
@@ -536,7 +526,6 @@ class SourceCluster:
         self.trace_groups: List[dict] = []
         self._started = False
         self._stopped = False
-        # Process lane state
         self._recipes: List[SourceRecipe] = []
         self._processes: List[multiprocessing.Process] = []
         self._pipes: List = []
@@ -548,13 +537,6 @@ class SourceCluster:
         self._broker: Optional[threading.Thread] = None
         self._broker_stop = threading.Event()
         self.final_snapshot: Optional[ClusterSnapshot] = None
-        # Thread lane state
-        self._service: Optional[SourceService] = None
-        self._listen_sock: Optional[socket.socket] = None
-        self._loops: List[asyncio.AbstractEventLoop] = []
-        self._servers: List[AsyncSourceServer] = []
-        self._threads: List[threading.Thread] = []
-        self._acceptor: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     @property
@@ -565,10 +547,7 @@ class SourceCluster:
         if self._started:
             raise RuntimeError("cluster already started")
         self._started = True
-        if self.mode == "process":
-            self._start_processes()
-        else:
-            self._start_threads()
+        self._start_processes()
         return self.url
 
     def stop(self) -> Optional[ClusterSnapshot]:
@@ -576,32 +555,25 @@ class SourceCluster:
         if not self._started or self._stopped:
             return self.final_snapshot
         self._stopped = True
-        if self.mode == "process":
-            self._stop_processes()
-        else:
-            self._stop_threads()
+        self._stop_processes()
         return self.final_snapshot
 
     def snapshot(self) -> ClusterSnapshot:
         """Collect live per-worker accounting, in worker order."""
         if not self._started or self._stopped:
             raise RuntimeError("cluster is not running")
-        if self.mode == "process":
-            with self._control_lock:
-                payloads = []
-                for conn in self._pipes:
-                    conn.send(("snapshot",))
-                for index, conn in enumerate(self._pipes):
-                    kind, payload = self._recv(conn, index)
-                    if kind != "snapshot":
-                        raise RuntimeError(
-                            f"worker {index} answered {kind!r} to snapshot"
-                        )
-                    payloads.append(payload)
-            return ClusterSnapshot(payloads)
-        assert self._service is not None
-        served = sum(server.requests_served for server in self._servers)
-        return ClusterSnapshot([_service_snapshot(self._service, served)])
+        with self._control_lock:
+            payloads = []
+            for index, conn in enumerate(self._pipes):
+                self._send(conn, index, ("snapshot",))
+            for index, conn in enumerate(self._pipes):
+                kind, payload = self._recv(conn, index)
+                if kind != "snapshot":
+                    raise RuntimeError(
+                        f"worker {index} answered {kind!r} to snapshot"
+                    )
+                payloads.append(payload)
+        return ClusterSnapshot(payloads)
 
     def __enter__(self) -> str:
         return self.start()
@@ -610,7 +582,7 @@ class SourceCluster:
         self.stop()
 
     # ------------------------------------------------------------------
-    # Process lane
+    # Worker lifecycle
     # ------------------------------------------------------------------
     def _start_processes(self) -> None:
         # Resolve port 0 up front with a placeholder REUSEPORT socket
@@ -680,6 +652,13 @@ class SourceCluster:
             target=self._broker_loop, name="repro-net-broker", daemon=True
         )
         self._broker.start()
+
+    def _send(self, conn, index: int, message: tuple) -> None:
+        try:
+            conn.send(message)
+        except OSError:  # BrokenPipeError: the worker is gone
+            self._kill_processes()
+            raise RuntimeError(f"worker {index} died") from None
 
     def _recv(self, conn, index: int):
         if not conn.poll(CONTROL_TIMEOUT):
@@ -836,108 +815,3 @@ class SourceCluster:
                     recipe.handle.unlink()
                 except Exception:  # noqa: BLE001 - already gone
                     pass
-
-    # ------------------------------------------------------------------
-    # Thread lane
-    # ------------------------------------------------------------------
-    def _start_threads(self) -> None:
-        limiter = (
-            self.limiter_spec.build() if self.limiter_spec is not None else None
-        )
-        self._service = SourceService(
-            self.sources,
-            rate_limiter=limiter,
-            registry=MetricsRegistry(),
-            expose_truth=self.expose_truth,
-            page_cache_size=self.page_cache_size,
-        )
-        if self.trace_spans:
-            # One shared service → its tracer already sees every
-            # request; "merged" and "local" views coincide, so no
-            # debug provider is needed in this lane.
-            self._service.tracer = ServerSpanTracer(
-                include_timings=self.trace_timings
-            )
-        self._service.cluster_info = {
-            "mode": "thread",
-            "workers": self.workers,
-        }
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.host, self.port))
-        sock.listen(128)
-        self.host, self.port = sock.getsockname()[:2]
-        self._listen_sock = sock
-        ready = threading.Barrier(self.workers + 1)
-        for index in range(self.workers):
-            loop = asyncio.new_event_loop()
-            server = AsyncSourceServer(
-                self._service,
-                host=self.host,
-                port=self.port,
-                idle_timeout=self.idle_timeout,
-            )
-            thread = threading.Thread(
-                target=self._run_loop,
-                args=(loop, ready),
-                name=f"repro-net-loop-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._loops.append(loop)
-            self._servers.append(server)
-            self._threads.append(thread)
-        ready.wait(timeout=CONTROL_TIMEOUT)
-        self._acceptor = threading.Thread(
-            target=self._accept_loop, name="repro-net-acceptor", daemon=True
-        )
-        self._acceptor.start()
-
-    @staticmethod
-    def _run_loop(loop: asyncio.AbstractEventLoop, ready) -> None:
-        asyncio.set_event_loop(loop)
-        loop.call_soon(ready.wait)
-        loop.run_forever()
-
-    def _accept_loop(self) -> None:
-        index = 0
-        assert self._listen_sock is not None
-        self._listen_sock.setblocking(True)
-        while True:
-            try:
-                client_sock, _addr = self._listen_sock.accept()
-            except OSError:  # listening socket closed: shutting down
-                return
-            client_sock.setblocking(False)
-            loop = self._loops[index % self.workers]
-            server = self._servers[index % self.workers]
-            index += 1
-            asyncio.run_coroutine_threadsafe(server.adopt(client_sock), loop)
-
-    def _stop_threads(self) -> None:
-        assert self._service is not None
-        served = sum(server.requests_served for server in self._servers)
-        if self._listen_sock is not None:
-            self._listen_sock.close()
-        if self._acceptor is not None:
-            self._acceptor.join(timeout=CONTROL_TIMEOUT)
-        for server, loop in zip(self._servers, self._loops):
-            try:
-                asyncio.run_coroutine_threadsafe(server.close(), loop).result(
-                    timeout=CONTROL_TIMEOUT
-                )
-            except Exception:  # noqa: BLE001 - close must not raise
-                pass
-            loop.call_soon_threadsafe(loop.stop)
-        for thread in self._threads:
-            thread.join(timeout=CONTROL_TIMEOUT)
-        for loop in self._loops:
-            loop.close()
-        served = max(
-            served, sum(server.requests_served for server in self._servers)
-        )
-        if self.trace_spans and self._service.tracer is not None:
-            self._finish_trace(self._service.tracer.payload())
-        self.final_snapshot = ClusterSnapshot(
-            [_service_snapshot(self._service, served)]
-        )

@@ -18,13 +18,8 @@ Layering:
   :func:`asyncio.start_server` (stdlib only): keep-alive connections,
   per-connection read timeouts, graceful shutdown that closes every
   open socket and cancels every handler task.  It can also listen on a
-  caller-provided socket (the ``SO_REUSEPORT`` cluster lane,
-  :mod:`repro.net.cluster`) or adopt already-accepted connections (the
-  cluster's threaded fallback);
-- :class:`ThreadedSourceServer` is the :mod:`http.server` fallback for
-  environments where an event loop is unavailable (or already owned by
-  someone else) — it shares the exact same :class:`SourceService`
-  handler, whose per-source locks make the threaded path safe;
+  caller-provided socket (how each ``SO_REUSEPORT`` worker of
+  :mod:`repro.net.cluster` binds the shared port);
 - :class:`ServerThread` runs an :class:`AsyncSourceServer` on a
   background thread, which is how tests and the load-test harness get
   a live service inside one process.
@@ -160,11 +155,11 @@ class SourceService:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.expose_truth = expose_truth
         # Locking is sharded per source: SimulatedWebDatabase's order
-        # cache and communication log are not thread-safe, and the
-        # threaded fallback (plus the cluster's multi-loop lane) may
-        # hit them from many threads at once — but requests to
-        # *different* sources share no mutable state, so they never
-        # contend.  The asyncio server is single-threaded, where these
+        # cache and communication log are not thread-safe, and besides
+        # the event loop a second thread reaches them — the caller of
+        # a ServerThread, or a cluster worker's control thread taking
+        # snapshots.  Requests to *different* sources share no mutable
+        # state, so they never contend; on the event loop itself the
         # locks are uncontended.
         self._locks: Dict[str, threading.RLock] = {
             name: threading.RLock() for name in self.sources
@@ -713,24 +708,6 @@ class AsyncSourceServer:
         self.host, self.port = sockname[0], sockname[1]
         return self.host, self.port
 
-    async def adopt(self, sock) -> None:
-        """Serve one already-accepted connection socket.
-
-        The cluster's threaded fallback accepts on a single parent
-        socket and hands connections to worker loops round-robin; this
-        wraps the raw socket in the same stream pair
-        ``asyncio.start_server`` would have produced and runs the
-        normal keep-alive handler on it.
-        """
-        loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader(loop=loop)
-        protocol = asyncio.StreamReaderProtocol(reader, loop=loop)
-        transport, _ = await loop.connect_accepted_socket(
-            lambda: protocol, sock
-        )
-        writer = asyncio.StreamWriter(transport, protocol, reader, loop)
-        await self._on_connection(reader, writer)
-
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
@@ -795,20 +772,33 @@ class AsyncSourceServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str]]]:
+        """One parsed request, or ``None`` to close the connection.
+
+        Malformed, oversized and stalled requests all close quietly;
+        ``idle_timeout`` bounds the request line and, separately, the
+        whole header block.
+        """
         try:
             line = await asyncio.wait_for(
                 reader.readline(), timeout=self.idle_timeout
             )
-        except (asyncio.TimeoutError, TimeoutError):
-            return None
-        if not line:
-            return None
-        if len(line) > self.MAX_REQUEST_LINE:
-            return None
-        try:
+            if not line or len(line) > self.MAX_REQUEST_LINE:
+                return None
             method, target, _version = line.decode("latin-1").split(None, 2)
-        except ValueError:
+            headers = await asyncio.wait_for(
+                self._read_headers(reader), timeout=self.idle_timeout
+            )
+        except (asyncio.TimeoutError, TimeoutError, ValueError):
+            # ValueError: a bad request line, or a line longer than the
+            # StreamReader limit (readline raises instead of returning).
             return None
+        if headers is None:
+            return None
+        return method.upper(), target, headers
+
+    async def _read_headers(
+        self, reader: asyncio.StreamReader
+    ) -> Optional[Dict[str, str]]:
         headers: Dict[str, str] = {}
         total = 0
         while True:
@@ -817,10 +807,9 @@ class AsyncSourceServer:
             if total > self.MAX_HEADER_BYTES:
                 return None
             if line in (b"\r\n", b"\n", b""):
-                break
+                return headers
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        return method.upper(), target, headers
 
     def _write_response(
         self,
@@ -840,68 +829,6 @@ class AsyncSourceServer:
             lines.append(f"{name}: {value}")
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         writer.write(head if head_only else head + response.body)
-
-
-# ----------------------------------------------------------------------
-# http.server fallback (threads, no event loop)
-# ----------------------------------------------------------------------
-class ThreadedSourceServer:
-    """The same service over ``http.server.ThreadingHTTPServer``.
-
-    One thread per connection; :class:`SourceService`'s lock keeps the
-    mounted sources consistent.  Useful where the process cannot own an
-    event loop; the asyncio front end is the primary lane.
-    """
-
-    def __init__(
-        self, service: SourceService, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        outer = service
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def _serve(self, head_only: bool) -> None:
-                headers = {
-                    name.lower(): value for name, value in self.headers.items()
-                }
-                response = outer.handle(
-                    self.command, self.path, headers, self.client_address[0]
-                )
-                self.send_response(response.status)
-                self.send_header("Content-Type", response.content_type)
-                self.send_header("Content-Length", str(len(response.body)))
-                for name, value in response.headers:
-                    self.send_header(name, value)
-                self.end_headers()
-                if not head_only:
-                    self.wfile.write(response.body)
-
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                self._serve(head_only=False)
-
-            def do_HEAD(self) -> None:  # noqa: N802 - http.server API
-                self._serve(head_only=True)
-
-            def log_message(self, *args) -> None:  # silence stderr
-                pass
-
-        self.service = service
-        self._httpd = ThreadingHTTPServer((host, port), Handler)
-        self.host, self.port = self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def serve_forever(self) -> None:
-        self._httpd.serve_forever()
-
-    def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
 
 
 # ----------------------------------------------------------------------

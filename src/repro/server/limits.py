@@ -120,8 +120,9 @@ class RateLimiter:
     resets the violation count — only sustained hammering escalates.
 
     All state is guarded by one lock: the asyncio front end is
-    single-threaded but the threaded fallback (and tests) hit the
-    limiter from many threads at once.
+    single-threaded, but a cluster worker's control thread reads the
+    limiter state and callers (tests included) may share one limiter
+    across threads.
 
     ``clock`` is injectable (monotonic seconds) so tests can step time
     exactly; production uses :func:`time.monotonic`.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import http.client
+
 import pytest
 
 from repro.datasets import load_dataset
@@ -32,3 +34,17 @@ def served(service):
     """(url, service) with a live asyncio server on a background thread."""
     with ServerThread(service) as url:
         yield url, service
+
+
+def open_keep_alive_connections(url, count):
+    """``count`` connections, each left idle after one answered request."""
+    host = url.split("//")[1]
+    connections = []
+    for _ in range(count):
+        connection = http.client.HTTPConnection(host, timeout=10)
+        connection.request("GET", "/healthz")
+        response = connection.getresponse()
+        assert response.status == 200
+        response.read()
+        connections.append(connection)
+    return connections

@@ -9,7 +9,10 @@ worker count.
 
 from __future__ import annotations
 
+import os
 import random
+import signal
+import time
 
 import pytest
 
@@ -27,6 +30,7 @@ from repro.net.cluster import (
 from repro.policies import GreedyLinkSelector
 from repro.server import SimulatedWebDatabase
 from repro.server.limits import RateLimiterSpec, merge_runtime_states
+from tests.net.conftest import open_keep_alive_connections
 
 needs_reuseport = pytest.mark.skipif(
     not reuseport_supported(), reason="SO_REUSEPORT unavailable"
@@ -96,28 +100,6 @@ class TestMergeRuntimeStates:
         assert merged["banned_until"] == {"a": 12.0}  # latest ban wins
         assert merged["denials"] == 5
         assert merged["bans_issued"] == 1
-
-
-class TestThreadLane:
-    def test_serves_and_accounts(self, small_table):
-        cluster = SourceCluster(
-            make_sources(small_table), workers=2, mode="thread"
-        )
-        with cluster as url:
-            result, ids, _seeds = crawl_remote(url)
-            snapshot = cluster.snapshot()
-            assert snapshot.rounds["imdb"] == result.communication_rounds
-            assert snapshot.requests_served > 0
-        final = cluster.final_snapshot
-        assert final is not None
-        assert final.rounds["imdb"] >= result.communication_rounds
-
-    def test_workers_one_is_legal(self, small_table):
-        with SourceCluster(
-            make_sources(small_table), workers=1, mode="thread"
-        ) as url:
-            _result, ids, _seeds = crawl_remote(url)
-            assert ids
 
 
 @needs_reuseport
@@ -244,10 +226,51 @@ class TestClusterValidation:
             SourceCluster(make_sources(small_table), workers=0)
 
     def test_unknown_mode_rejected(self, small_table):
-        with pytest.raises(ValueError):
-            SourceCluster(make_sources(small_table), mode="fibers")
+        for mode in ("fibers", "thread", "auto"):
+            with pytest.raises(ValueError):
+                SourceCluster(make_sources(small_table), mode=mode)
 
+    def test_missing_reuseport_rejected(self, small_table, monkeypatch):
+        monkeypatch.setattr(
+            "repro.net.cluster.reuseport_supported", lambda: False
+        )
+        with pytest.raises(RuntimeError, match="SO_REUSEPORT"):
+            SourceCluster(make_sources(small_table))
+
+    @needs_reuseport
     def test_snapshot_requires_running_cluster(self, small_table):
-        cluster = SourceCluster(make_sources(small_table), mode="thread")
+        cluster = SourceCluster(make_sources(small_table))
         with pytest.raises(RuntimeError):
             cluster.snapshot()
+
+
+@needs_reuseport
+class TestClusterFailures:
+    def test_snapshot_with_dead_worker_raises(self, small_table):
+        cluster = SourceCluster(make_sources(small_table), workers=2)
+        cluster.start()
+        try:
+            victim = cluster._processes[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            assert not victim.is_alive()
+            with pytest.raises(RuntimeError, match="worker 1"):
+                cluster.snapshot()
+        finally:
+            started = time.monotonic()
+            cluster.stop()
+            assert time.monotonic() - started < 2.0
+
+    def test_stop_is_bounded_with_open_keep_alive_connections(
+        self, small_table
+    ):
+        cluster = SourceCluster(make_sources(small_table), workers=2)
+        url = cluster.start()
+        connections = open_keep_alive_connections(url, 4)
+        try:
+            started = time.monotonic()
+            cluster.stop()
+            assert time.monotonic() - started < 2.0
+        finally:
+            for connection in connections:
+                connection.close()

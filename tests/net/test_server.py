@@ -1,7 +1,11 @@
 """Tests for the HTTP front end: routing, wire formats, limits, transport."""
 
+import gc
 import json
+import logging
+import socket
 import threading
+import time
 import urllib.request
 from urllib.error import HTTPError
 from urllib.parse import urlencode
@@ -9,11 +13,10 @@ from urllib.parse import urlencode
 import pytest
 
 from repro.core import Query
-from repro.metrics import MetricsRegistry
 from repro.net import ServerThread, SourceService
 from repro.net.protocol import parse_page_json
-from repro.net.server import ThreadedSourceServer
 from repro.server import RateLimiter, SimulatedWebDatabase, parse_page
+from tests.net.conftest import open_keep_alive_connections
 
 
 def get(service, target, headers=None, client="t"):
@@ -283,24 +286,69 @@ class TestAsyncTransport:
             probe.close()
 
 
-class TestThreadedFallback:
-    def test_same_handler_same_answers(self, service, books):
-        from repro.core import Query
+def closed_by_server(sock, timeout=3.0):
+    """Read until the server closes ``sock``; False if it never does."""
+    sock.settimeout(timeout)
+    try:
+        while sock.recv(65536):
+            pass
+    except ConnectionResetError:
+        pass  # closed with our unread bytes still queued: RST, not FIN
+    except socket.timeout:
+        return False
+    return True
 
-        expected = SimulatedWebDatabase(books, page_size=2).submit(
-            Query.equality("publisher", "orbit")
-        )
-        server = ThreadedSourceServer(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+
+class TestConnectionHardening:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_oversized_line_closes_quietly(self, service, caplog, payload):
+        thread = ServerThread(service)
+        host, port = thread.start().split("//")[1].split(":")
         try:
-            with urllib.request.urlopen(
-                server.url + "/sources/books/query?a=publisher&v=orbit",
-                timeout=10,
-            ) as response:
-                assert response.status == 200
-                page = parse_page_json(response.read().decode("utf-8"))
-            assert page == expected
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                with socket.create_connection((host, int(port))) as sock:
+                    try:
+                        sock.sendall(payload)
+                    except (BrokenPipeError, ConnectionResetError):
+                        pass  # the server hung up mid-send: also a close
+                    assert closed_by_server(sock)
+                thread.stop()
+                # Before Python 3.12 a handler task that died with an
+                # exception is reported only when it is collected.
+                gc.collect()
         finally:
-            server.shutdown()
-            thread.join(timeout=5)
+            thread.stop()
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_stalled_headers_time_out(self, service):
+        thread = ServerThread(service)
+        thread.server.idle_timeout = 0.2
+        host, port = thread.start().split("//")[1].split(":")
+        try:
+            with socket.create_connection((host, int(port))) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x")
+                started = time.monotonic()
+                assert closed_by_server(sock)
+                assert time.monotonic() - started < 1.0
+        finally:
+            thread.stop()
+
+    def test_stop_is_bounded_with_open_keep_alive_connections(
+        self, service
+    ):
+        thread = ServerThread(service)
+        connections = open_keep_alive_connections(thread.start(), 4)
+        try:
+            started = time.monotonic()
+            thread.stop()
+            assert time.monotonic() - started < 2.0
+        finally:
+            for connection in connections:
+                connection.close()
