@@ -121,6 +121,11 @@ class GreedyMmmiSelector(QuerySelector):
         self._greedy.add_candidate(value)
         self._mmmi.add_candidate(value)
 
+    def add_candidate_id(self, vid: int, value: AttributeValue) -> None:
+        # Forward the id so neither phase re-hashes the value.
+        self._greedy.add_candidate_id(vid, value)
+        self._mmmi.add_candidate_id(vid, value)
+
     def next_query(self) -> Optional[AttributeValue]:
         self._maybe_switch()
         if self._switched:

@@ -56,8 +56,8 @@ class MinMaxMutualInformationSelector(QuerySelector):
         local degree, keeping GL's productivity signal as a secondary
         key.
     use_vectorized:
-        ``None`` (default) auto-selects the numpy queried-major kernel
-        (:func:`repro.policies.vectorized.mmmi_best_ratios`) when the
+        ``None`` (default) auto-selects the numpy batch recompute
+        (:func:`repro.policies.vectorized.mmmi_shortlist`) when the
         platform and configuration support it (``aggregate="max"`` on a
         co-occurrence-tracking interned database); ``False`` forces the
         scalar recompute; ``True`` requires the kernel and raises at
@@ -80,8 +80,8 @@ class MinMaxMutualInformationSelector(QuerySelector):
             raise CrawlError(f"batch_size must be >= 1, got {batch_size}")
         if aggregate not in AGGREGATES:
             raise CrawlError(f"aggregate must be one of {AGGREGATES}")
-        if popularity_weight < 0:
-            raise CrawlError("popularity_weight must be >= 0")
+        if not 0 <= popularity_weight < math.inf:
+            raise CrawlError("popularity_weight must be finite and >= 0")
         self.batch_size = batch_size
         self.aggregate = aggregate
         self.tie_break_degree = tie_break_degree
@@ -268,16 +268,29 @@ class MinMaxMutualInformationSelector(QuerySelector):
 
         One interner lookup per queried value; candidate ids are cached
         at discovery (:meth:`add_candidate_id`), so candidates hash only
-        until first resolved.  With numpy present and ``aggregate="max"``
-        the per-candidate dependency maxes run queried-major through
-        :func:`repro.policies.vectorized.mmmi_best_ratios`; the scalar
-        fallback iterates candidate-major over the same pairs.  Both
-        produce identical keys (see :mod:`repro.policies.vectorized` for
-        the exactness argument), and only the top ``batch_size`` keys
-        can be consumed before the next recompute, so a bounded
+        until first resolved.  Only the top ``batch_size`` keys can be
+        consumed before the next recompute, so a bounded
         ``heapq.nlargest`` replaces the full sort — keys are unique
         (final tie-break is the value itself), making the selection
         independent of candidate iteration order.
+
+        With numpy and ``aggregate="max"``, every candidate is scored at
+        once by :func:`repro.policies.vectorized.mmmi_shortlist`: an
+        approximate ``np.log``/``np.log1p`` score per candidate,
+        ``np.partition`` for the ``batch_size``-th best approximate key
+        ``A_k``, and a shortlist of the candidates whose approximate key
+        is at least ``A_k − margin`` (typically a few dozen of ~15k).
+        Only the shortlist gets an exact Python key, from the same
+        ``math.log``/``math.log1p`` arithmetic as the scalar branch.
+        This is exact, not a heuristic: if numpy's logs differ from
+        libm's by at most ``δ`` per key, every member of the exact top
+        ``batch_size`` has an approximate key of at least ``A_k − 2δ``,
+        and the fixed margin (``1e-9·max(1, S)``, ``S`` the largest
+        score-term magnitude) is far above ``2δ``.  The scalar branch
+        iterates candidate-major through ``dependency_score_ids`` and
+        keys every candidate; the differential suite pins the two to
+        identical orderings.  Candidates with no interned id keep the
+        ``(0.0, 0, value)`` key on both branches.
         """
         lookup = local.value_id
         queried_ids = {
@@ -286,53 +299,53 @@ class MinMaxMutualInformationSelector(QuerySelector):
             if vid is not None
         }
         candidates = self._candidates
-        for value, vid in candidates.items():
-            if vid is None:
-                vid = lookup(value)
-                if vid is not None:
+        values = list(candidates)
+        ids = list(candidates.values())
+        keyed = []
+        if None in ids:
+            # Seeds and restored checkpoints arrive without ids; resolve
+            # (and cache) what has since been harvested.  The rest was
+            # never seen in a harvested record: no neighbours, no
+            # degree — fully independent, judged at score 0.
+            pending = zip(values, ids)
+            values, ids = [], []
+            for value, vid in pending:
+                if vid is None:
+                    vid = lookup(value)
+                    if vid is None:
+                        keyed.append((0.0, 0, value))
+                        continue
                     candidates[value] = vid
+                values.append(value)
+                ids.append(vid)
         use_max = self.aggregate == "max"
         weight = self.popularity_weight
         tie_break = self.tie_break_degree
-        degree_id = local.degree_id
-        log = math.log
         log1p = math.log1p
-        neg_inf = -math.inf
-        keyed = []
         use_vec = (
             self.use_vectorized is not False
             and use_max
             and vectorized.supports_mmmi(local)
         )
         if use_vec:
-            pairs = [
-                (value, vid)
-                for value, vid in candidates.items()
-                if vid is not None
-            ]
-            ratios = vectorized.mmmi_best_ratios(
-                local, queried_ids, [vid for _value, vid in pairs]
+            log = math.log
+            picks, ratios, degrees = vectorized.mmmi_shortlist(
+                local, queried_ids, ids, weight, self.batch_size
             )
-            for (value, vid), ratio in zip(pairs, ratios):
+            for index, ratio, degree in zip(picks, ratios, degrees):
                 # log(max ratio) == max(log ratio): one scalar math.log
-                # per candidate keeps libm bit-identity with the scalar
-                # path.  Ratio 0 is the no-co-occurrence sentinel.
+                # per shortlisted candidate keeps libm bit-identity with
+                # the scalar path.  Ratio 0 is the no-co-occurrence
+                # sentinel.
                 score = log(ratio) if ratio > 0.0 else 0.0
-                degree = degree_id(vid)
                 if weight:
                     score -= weight * log1p(degree)
-                keyed.append((-score, degree if tie_break else 0, value))
-            for value, vid in candidates.items():
-                if vid is None:
-                    # Never seen in a harvested record: no neighbours, no
-                    # degree — fully independent, judged at score 0.
-                    keyed.append((0.0, 0, value))
+                keyed.append((-score, degree if tie_break else 0, values[index]))
         else:
             dependency_score = local.dependency_score_ids
-            for value, vid in candidates.items():
-                if vid is None:
-                    keyed.append((0.0, 0, value))
-                    continue
+            degree_id = local.degree_id
+            neg_inf = -math.inf
+            for value, vid in zip(values, ids):
                 score = dependency_score(vid, queried_ids, use_max)
                 if score == neg_inf:
                     score = 0.0  # independent; judged on popularity alone

@@ -11,9 +11,12 @@ This module lifts both onto numpy views built **directly on the live
   frontier's flush hands its whole dirty set to one call.
 - :func:`mmmi_best_ratios` computes, for every candidate, the **maximum
   co-occurrence ratio** ``joint·n / (f_cand·f_q)`` over the issued
-  queries, iterating *queried-major*: each issued query's co-occurrence
-  row (:meth:`~repro.crawler.localdb.LocalDatabase.cooc_row`) bulk-loads
-  into two arrays and scatters into a per-candidate running max.
+  queries, iterating *queried-major*: the issued queries' co-occurrence
+  rows (:meth:`~repro.crawler.localdb.LocalDatabase.cooc_row`) bulk-load
+  into flat arrays and reduce into a per-candidate max.
+- :func:`mmmi_shortlist` builds on it for MMMI's batch recompute: it
+  scores every candidate approximately and returns only the few that
+  can rank in the batch, for the caller to key exactly.
 
 Bit-identity with the scalar path is a design constraint, not an
 accident:
@@ -22,25 +25,26 @@ accident:
   ``joint * n`` and ``f_cand * f_q`` are exact in float64 and the single
   division is correctly rounded — the same bits CPython's ``int/int``
   true division produces in the scalar loop.
-- ``log`` is *not* vectorized.  ``max_i log(r_i) == log(max_i r_i)``
+- No numpy ``log`` reaches a key.  ``max_i log(r_i) == log(max_i r_i)``
   because ``log`` is monotonic, so the kernel maximizes the exact ratios
-  and the caller applies one ``math.log`` per candidate — numpy's SIMD
-  ``np.log`` may differ from libm by an ulp, ``math.log`` cannot.
+  and the caller applies one ``math.log`` per keyed candidate — numpy's
+  SIMD ``np.log`` may differ from libm by an ulp, ``math.log`` cannot.
+  :func:`mmmi_shortlist` uses ``np.log`` only to *discard* candidates,
+  with a margin far wider than that disagreement.
 - Queried-major and candidate-major visit exactly the same ``(cand, q)``
   pairs: a co-occurrence row holds precisely the positive-joint
   neighbours, and ``max`` is order-independent.
 
-The MMMI kernel is only equivalent to ``aggregate="max"``; the ``mean``
-variant sums logs in set-iteration order and stays on the scalar path.
-Everything here degrades to ``None`` when numpy is unavailable (callers
-fall back to the scalar loops) — numpy is an accelerator, never a
-dependency.
+The MMMI kernels are only equivalent to ``aggregate="max"``; the
+``mean`` variant sums logs in set-iteration order and stays on the
+scalar path.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, List, Optional, Sequence
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as np
@@ -117,44 +121,93 @@ def mmmi_best_ratios(
     "independent" outcome).  ``math.log`` of each positive entry equals
     the scalar ``dependency_score_ids(..., use_max=True)`` bit for bit.
     """
+    cand = np.fromiter(cand_ids, dtype=np.int64, count=len(cand_ids))
+    return _best_ratios(local, queried_ids, cand).tolist()
+
+
+def mmmi_shortlist(
+    local,
+    queried_ids: Sequence[int],
+    cand_ids: Sequence[int],
+    popularity_weight: float,
+    take: int,
+) -> Tuple[List[int], List[float], List[int]]:
+    """The candidates that can rank in MMMI's top ``take``, and their inputs.
+
+    Returns ``(indices, ratios, degrees)``: positions into ``cand_ids``
+    plus each one's :func:`mmmi_best_ratios` entry and local degree, as
+    Python numbers for the caller's exact ``math.log`` keys.
+
+    Every candidate gets the approximate key ``A = w·log1p(degree) −
+    log(ratio)`` (the negated selection score; ``log`` term 0 for ratio
+    0) from ``np.log``/``np.log1p``.  With ``A_k`` the ``take``-th
+    largest, the shortlist is every candidate with ``A ≥ A_k − margin``,
+    ``margin = 1e-9·max(1, S)`` and ``S`` the largest ``|log term| +
+    popularity term`` among the candidates.  If numpy's logs differ from
+    libm's by at most ``δ`` per key, a candidate with ``A < A_k − 2δ``
+    has an exact key below that of ``take`` others (each ``≥ A_k − δ``)
+    and cannot be selected; ``δ`` is a few ulps of ``S`` (~1e-15·S), so
+    the margin exceeds ``2δ`` by orders of magnitude and the shortlist
+    always contains the exact top ``take``.  With ``take`` or fewer
+    candidates, all of them are returned.
+    """
     total = len(cand_ids)
+    cand = np.fromiter(cand_ids, dtype=np.int64, count=total)
+    best = _best_ratios(local, queried_ids, cand)
+    degree = np.frombuffer(local.degree_column(), dtype=np.uint32)[cand]
+    if total > take:
+        dependency = np.zeros(total, dtype=np.float64)
+        linked = best > 0.0
+        dependency[linked] = np.log(best[linked])
+        popularity = popularity_weight * np.log1p(degree.astype(np.float64))
+        approx = popularity - dependency
+        kth = np.partition(approx, total - take)[total - take]
+        scale = float(np.max(np.abs(dependency) + popularity))
+        picks = np.flatnonzero(approx >= kth - 1e-9 * max(1.0, scale))
+        best = best[picks]
+        degree = degree[picks]
+    else:
+        picks = np.arange(total)
+    return picks.tolist(), best.tolist(), degree.tolist()
+
+
+def _best_ratios(local, queried_ids: Sequence[int], cand) -> "np.ndarray":
+    """:func:`mmmi_best_ratios` over an int64 id array, as an array.
+
+    All issued queries' co-occurrence rows are flattened into one
+    ``(partner, joint, f_q)`` triple per entry — two ``np.fromiter``
+    passes over the chained rows — so the ratio arithmetic and the
+    per-candidate max run once per recompute, not once per query.
+    """
+    total = cand.shape[0]
     best = np.zeros(total, dtype=np.float64)
     n = len(local)
     freq_col = local.frequency_column()
     num_ids = len(freq_col)
     if total == 0 or n == 0 or num_ids == 0:
-        return best.tolist()
-    cand = np.fromiter(cand_ids, dtype=np.int64, count=total)
-    is_candidate = np.zeros(num_ids, dtype=np.bool_)
-    is_candidate[cand] = True
-    index_of = np.zeros(num_ids, dtype=np.int64)
-    index_of[cand] = np.arange(total, dtype=np.int64)
-    freq = np.frombuffer(freq_col, dtype=np.uint32).astype(np.float64)
-    nf = float(n)
+        return best
     cooc_row = local.cooc_row
-    for q in queried_ids:
-        if q >= num_ids:
-            continue
-        row: Dict[int, int] = cooc_row(q)
-        k = len(row)
-        if k == 0:
-            continue
-        fq = freq_col[q]
-        if fq == 0:
-            continue
-        partners = np.fromiter(row.keys(), dtype=np.int64, count=k)
-        mask = is_candidate[partners]
-        if not mask.any():
-            continue
-        joints = np.fromiter(row.values(), dtype=np.float64, count=k)
-        hit = partners[mask]
-        # Exact: joints·n and f_cand·f_q are integer-valued float64
-        # products (< 2^53), the division is correctly rounded — the
-        # same bits as the scalar int/int true division.
-        ratios = (joints[mask] * nf) / (freq[hit] * float(fq))
-        slots = index_of[hit]
-        # A row's keys are unique, so the fancy-indexed read-modify-write
-        # has no duplicate-slot hazard within one query.
-        np.maximum(best[slots], ratios, out=ratios)
-        best[slots] = ratios
-    return best.tolist()
+    queried = [q for q in queried_ids if q < num_ids]
+    rows: List[Dict[int, int]] = [cooc_row(q) for q in queried]
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    entries = int(lengths.sum())
+    if entries == 0:
+        return best
+    freq = np.frombuffer(freq_col, dtype=np.uint32).astype(np.float64)
+    partners = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=entries)
+    joints = np.fromiter(
+        chain.from_iterable(map(dict.values, rows)), dtype=np.float64, count=entries
+    )
+    fq = np.repeat(freq[np.array(queried, dtype=np.int64)], lengths)
+    slot_of = np.full(num_ids, -1, dtype=np.int64)
+    slot_of[cand] = np.arange(total, dtype=np.int64)
+    slots = slot_of[partners]
+    mask = slots >= 0
+    # Exact: joints·n and f_cand·f_q are integer-valued float64 products
+    # (< 2^53), the division is correctly rounded — the same bits as the
+    # scalar int/int true division.
+    ratios = (joints[mask] * float(n)) / (freq[partners[mask]] * fq[mask])
+    # max is exact and order-independent: duplicate slots (one candidate
+    # in several rows) reduce to the same value in any order.
+    np.maximum.at(best, slots[mask], ratios)
+    return best

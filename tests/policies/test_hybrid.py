@@ -97,3 +97,42 @@ class TestSwitching:
         assert harvest(GreedyMmmiSelector(switch_coverage=0.5, detector=None)) == (
             harvest(GreedyLinkSelector())
         )
+
+
+class TestIdPath:
+    def test_decomposed_candidates_never_take_the_value_path(self, small_ebay):
+        """Both phases receive harvested candidates by interned id.
+
+        Only the seeds may arrive through the value-keyed
+        ``add_candidate``; everything decomposed from a result page must
+        reach ``add_candidate_id`` on the greedy and the MMMI phase.
+        """
+        selector = GreedyMmmiSelector(switch_coverage=0.3, detector=None)
+        value_adds = []
+        id_adds = {"greedy": 0, "mmmi": 0}
+        for part in (selector, selector._greedy, selector._mmmi):
+            def value_spy(value, _original=part.add_candidate):
+                value_adds.append(value)
+                _original(value)
+
+            part.add_candidate = value_spy
+        for name in id_adds:
+            part = getattr(selector, f"_{name}")
+
+            def id_spy(vid, value, _original=part.add_candidate_id, _name=name):
+                id_adds[_name] += 1
+                _original(vid, value)
+
+            part.add_candidate_id = id_spy
+        server = SimulatedWebDatabase(small_ebay, page_size=10)
+        engine = CrawlerEngine(server, selector, seed=0)
+        seed = next(
+            value
+            for value in small_ebay.distinct_values("seller")
+            if small_ebay.frequency(value) >= 3
+        )
+        result = engine.crawl([seed], max_queries=80)
+        assert selector.switched
+        assert result.queries_issued == 80
+        assert set(value_adds) == {seed}
+        assert id_adds["greedy"] == id_adds["mmmi"] > 0

@@ -56,6 +56,11 @@ class TestValidation:
         with pytest.raises(CrawlError):
             MinMaxMutualInformationSelector(popularity_weight=-1)
 
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_non_finite_popularity_weight(self, weight):
+        with pytest.raises(CrawlError):
+            MinMaxMutualInformationSelector(popularity_weight=weight)
+
 
 class TestDependencyScore:
     def test_correlated_value_scores_higher(self):

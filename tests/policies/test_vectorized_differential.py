@@ -13,22 +13,28 @@ pin that contract two ways:
   reproduce the scalar arithmetic exactly — including the zero
   frequency, empty-queried-set, no-co-occurrence, and id-past-column
   edges where the guards (not the arithmetic) decide the answer.
+- **Recompute-level**: MMMI's ``_order_interned`` returns the same
+  ordering on both branches, including when the vectorized branch's
+  approximate ``np.log`` shortlist cuts through ties or through a
+  candidate whose numpy and libm logarithms disagree.
 """
 
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AttributeValue, CrawlError
-from repro.crawler import CrawlerEngine, LocalDatabase
+from repro.crawler import CrawlerContext, CrawlerEngine, LocalDatabase
 from repro.policies import (
     GreedyFrequencySelector,
     GreedyLinkSelector,
     MinMaxMutualInformationSelector,
 )
 from repro.policies import vectorized
-from repro.server import SimulatedWebDatabase
+from repro.server import QueryInterface, SimulatedWebDatabase
 from tests.conftest import make_record
 
 needs_numpy = pytest.mark.skipif(
@@ -245,3 +251,148 @@ class TestColumnScorerEdges:
         for i in range(2, 200):
             local.add(make_record(i, a="v", b=f"pad{i}"))
         assert scorer([vid]) == [float(local.frequency_id(vid))]
+
+
+def mmmi_orders(records, queried, candidates, batch_size, **options):
+    """``_order_interned`` on the vectorized and the scalar branch.
+
+    Both selectors read one shared local database built from
+    ``records``; ``candidates`` not interned there arrive by value and
+    keep the ``(0.0, 0, value)`` key.
+    """
+    local = LocalDatabase(track_cooccurrence=True)
+    for record in records:
+        local.add(record)
+    orders = []
+    for use_vectorized in (True, False):
+        context = CrawlerContext(
+            local_db=local,
+            interface=QueryInterface(frozenset({"a", "b", "c"})),
+            page_size=10,
+            rng=random.Random(0),
+            queried_values=set(queried),
+        )
+        selector = MinMaxMutualInformationSelector(
+            batch_size=batch_size, use_vectorized=use_vectorized, **options
+        )
+        selector.bind(context)
+        for value in candidates:
+            vid = local.value_id(value)
+            if vid is None:
+                selector.add_candidate(value)
+            else:
+                selector.add_candidate_id(vid, value)
+        orders.append(selector._order_interned(local, context))
+    return orders
+
+
+def ebay_world(table, n_records=300, n_queried=40):
+    """A harvested ebay prefix, some issued values, and the rest pending."""
+    records = list(table)[:n_records]
+    values = sorted({value for record in records for value in record})
+    rng = random.Random(5)
+    queried = set(rng.sample(values, n_queried))
+    candidates = [value for value in values if value not in queried]
+    # Two never-harvested candidates take the unresolved-id key.
+    candidates += [AV("seller", "unseen-1"), AV("title", "unseen-2")]
+    return records, queried, candidates
+
+
+#: Attribute pools of the random record sets; every value, sorted.
+POOLS = {"a": "pqrs", "b": "tuvwxyz", "c": "0123456789"}
+UNIVERSE = sorted(AV(a, v) for a, pool in POOLS.items() for v in pool)
+
+
+@needs_numpy
+class TestMMMIShortlistExactness:
+    @pytest.mark.parametrize("batch_size", [1, 5, 25, 100_000])
+    def test_orderings_match_scalar(self, small_ebay, batch_size):
+        records, queried, candidates = ebay_world(small_ebay)
+        fast, slow = mmmi_orders(records, queried, candidates, batch_size)
+        assert fast == slow
+        assert len(fast) == min(batch_size, len(candidates))
+
+    def test_tied_boundary_decided_by_value(self):
+        """More than ``batch_size`` candidates share score and degree.
+
+        Each ``t*`` co-occurs once with the issued ``q`` (ratio 1, log 0)
+        and has degree 1, so the batch boundary falls inside the tie and
+        only the :class:`AttributeValue` order can decide it.
+        """
+        tied = [AV("b", f"t{i:02d}") for i in range(12)]
+        records = [make_record(i, a="q", b=value.value) for i, value in enumerate(tied)]
+        # Better than the tie: independent, higher degree.
+        records.append(make_record(20, b="hub", c="h1"))
+        records.append(make_record(21, b="hub", c="h2"))
+        # Worse than the tie: independent, degree 0.
+        records.append(make_record(22, c="lone"))
+        candidates = tied + [AV("b", "hub"), AV("c", "lone")]
+        fast, slow = mmmi_orders(records, [AV("a", "q")], candidates, 5)
+        assert fast == slow
+        assert fast == sorted(tied)[-4:] + [AV("b", "hub")]
+
+    def test_log_disagreement_at_the_boundary(self, monkeypatch):
+        """A candidate whose ``np.log`` differs from ``math.log`` by ulps.
+
+        ``linked`` (ratio exactly 1, so ``math.log`` gives 0) and
+        ``free`` (no co-occurrence) tie exactly at degree 2; ``linked``
+        wins on value.  A numpy ``log`` a few ulps high pushes
+        ``linked``'s approximate key just below ``free``'s — a shortlist
+        cut at ``A_k`` with no margin would select ``free``.
+        """
+        records = [
+            make_record(1, a="q", b="linked"),
+            make_record(2, a="q", c="z1"),
+            make_record(3, b="linked", c="z2"),
+            make_record(4, b="free", c="z3", a="z4"),
+        ]
+        linked, free = AV("b", "linked"), AV("b", "free")
+        assert linked > free
+
+        numpy = vectorized.np
+
+        class HighLog:
+            def __getattr__(self, name):
+                return getattr(numpy, name)
+
+            @staticmethod
+            def log(x):
+                out = numpy.log(x)
+                return out + 4 * numpy.spacing(numpy.maximum(numpy.abs(out), 1.0))
+
+        monkeypatch.setattr(vectorized, "np", HighLog())
+        fast, slow = mmmi_orders(records, [AV("a", "q")], [free, linked], 1)
+        assert slow == [linked]
+        assert fast == slow
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.fixed_dictionaries(
+                {attribute: st.sampled_from(pool) for attribute, pool in POOLS.items()}
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        queried_mask=st.lists(
+            st.booleans(), min_size=len(UNIVERSE), max_size=len(UNIVERSE)
+        ),
+        batch_size=st.integers(min_value=1, max_value=12),
+        popularity_weight=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        tie_break_degree=st.booleans(),
+    )
+    def test_random_worlds_match_scalar(
+        self, rows, queried_mask, batch_size, popularity_weight, tie_break_degree
+    ):
+        records = [make_record(i, **row) for i, row in enumerate(rows)]
+        queried = [v for v, hit in zip(UNIVERSE, queried_mask) if hit]
+        candidates = [v for v, hit in zip(UNIVERSE, queried_mask) if not hit]
+        fast, slow = mmmi_orders(
+            records,
+            queried,
+            candidates,
+            batch_size,
+            popularity_weight=popularity_weight,
+            tie_break_degree=tie_break_degree,
+        )
+        assert fast == slow

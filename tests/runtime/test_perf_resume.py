@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.policies import GreedyLinkSelector, MinMaxMutualInformationSelector
+from repro.policies import (
+    GreedyLinkSelector,
+    GreedyMmmiSelector,
+    MinMaxMutualInformationSelector,
+)
 from repro.policies import vectorized
 from repro.runtime.crawler import RuntimeCrawler
 from repro.runtime.events import CrashAfterSteps, EventBus, SimulatedCrash
@@ -47,9 +51,17 @@ CONFIGS = {
         lambda: MinMaxMutualInformationSelector(batch_size=5, use_vectorized=True),
         lambda: MinMaxMutualInformationSelector(batch_size=5, use_vectorized=True),
     ),
+    # Switches to MMMI at step 6 of 50, before the crash at step 13, so
+    # the resume crosses the MMMI phase: its candidate ids are not
+    # checkpointed and must re-resolve at the next recompute.
+    "greedy-mmmi": (
+        lambda: GreedyMmmiSelector(switch_coverage=0.2, detector=None, batch_size=5),
+        lambda: GreedyMmmiSelector(switch_coverage=0.2, detector=None, batch_size=5),
+        lambda: GreedyMmmiSelector(switch_coverage=0.2, detector=None, batch_size=5),
+    ),
 }
 
-VECTOR_KEYS = {"gl-scalar-to-vectorized", "mmmi-vectorized"}
+VECTOR_KEYS = {"gl-scalar-to-vectorized", "mmmi-vectorized", "greedy-mmmi"}
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
