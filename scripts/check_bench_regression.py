@@ -1,14 +1,15 @@
-"""Guard the hot-path speedup against silent regressions.
+"""Guard a benchmark's speedup ratios against silent regressions.
 
-Compares a freshly produced ``BENCH_hotpath.json`` (see
-``benchmarks/test_hotpath_speedup.py``) against the committed baseline
-and fails when any policy's *speedup ratio* dropped by more than the
-tolerance.
+Compares a freshly produced ``BENCH_*.json`` report against its
+committed baseline (``benchmarks/baselines/``) and fails when any
+policy's *speedup ratio* dropped by more than the tolerance.  The
+fleet (``benchmarks/test_fleet.py``) and network-lane
+(``benchmarks/test_net_loadtest.py``) benchmarks emit such reports.
 
-The speedup ratio — reference seconds over interned seconds, both legs
-measured back-to-back in one process — is the machine-independent
-signal: absolute timings shift with the runner's hardware and load, but
-a genuine hot-path regression shrinks the ratio everywhere.
+A speedup ratio — two legs of the same work measured back-to-back in
+one process — is the machine-independent signal: absolute timings
+shift with the runner's hardware and load, but a genuine regression
+shrinks the ratio everywhere.
 
 Only the metrics in :data:`GATED_METRICS` gate the build, and only when
 both sides carry them: benchmark schemas grow over time (new per-policy
@@ -36,8 +37,8 @@ GATED_METRICS = ("speedup",)
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("fresh", help="just-measured BENCH_hotpath.json")
-    parser.add_argument("baseline", help="committed BENCH_hotpath.json")
+    parser.add_argument("fresh", help="just-measured BENCH_*.json report")
+    parser.add_argument("baseline", help="committed baseline report")
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -51,7 +52,7 @@ def main(argv=None) -> int:
 
     if fresh.get("scale") != baseline.get("scale"):
         # Speedup ratios are machine-independent but NOT scale-independent:
-        # shorter crawls amortize the shared server cost over fewer steps,
+        # shorter runs amortize shared fixed costs over less work,
         # deflating the ratio.  Compare like with like.
         print(
             f"scale mismatch: fresh run at {fresh.get('scale')}, baseline "
@@ -88,9 +89,9 @@ def main(argv=None) -> int:
                 )
 
     if failures:
-        print("\n".join(["", "hot-path speedup regression:"] + failures))
+        print("\n".join(["", "speedup regression:"] + failures))
         return 1
-    print("hot-path speedup within tolerance")
+    print("speedups within tolerance")
     return 0
 
 

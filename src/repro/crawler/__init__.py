@@ -23,7 +23,6 @@ from repro.crawler.frontier import (
 from repro.crawler.localdb import LocalDatabase
 from repro.crawler.metrics import CoveragePoint, CrawlHistory
 from repro.crawler.prober import DatabaseProber, QueryOutcome
-from repro.crawler.reference import ReferenceLocalDatabase
 
 __all__ = [
     "AbortionPolicy",
@@ -47,7 +46,6 @@ __all__ = [
     "PriorityFrontier",
     "QueryOutcome",
     "RandomFrontier",
-    "ReferenceLocalDatabase",
     "ResultExtractor",
     "TotalCountAbort",
     "normalize_seed",

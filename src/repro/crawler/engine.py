@@ -115,15 +115,11 @@ class CrawlerEngine:
     backoff:
         Retry backoff schedule, forwarded to the prober (only relevant
         with ``max_retries > 0``).
-    local_db:
-        Override the ``DB_local`` implementation.  Defaults to the
-        interned :class:`~repro.crawler.localdb.LocalDatabase`; the
-        hot-path benchmark passes
-        :class:`~repro.crawler.reference.ReferenceLocalDatabase` to
-        measure against the pre-interning behaviour (selectors detect
-        the missing interner and fall back to value-keyed scoring).
-        Must be freshly constructed with ``track_cooccurrence``
-        matching the selector's ``requires_cooccurrence``.
+
+    ``DB_local`` is always a fresh interned
+    :class:`~repro.crawler.localdb.LocalDatabase`, tracking
+    co-occurrence when the selector's ``requires_cooccurrence`` asks
+    for it.
     """
 
     def __init__(
@@ -137,7 +133,6 @@ class CrawlerEngine:
         max_retries: int = 0,
         bus: Optional[EventBus] = None,
         backoff: Optional[ExponentialBackoff] = None,
-        local_db=None,
     ) -> None:
         self.server = server
         self.selector = selector
@@ -149,14 +144,11 @@ class CrawlerEngine:
         self.backoff_rng = random.Random(
             seed ^ _BACKOFF_SEED_SALT if seed is not None else None
         )
-        self.local_db = (
-            local_db
-            if local_db is not None
-            else LocalDatabase(track_cooccurrence=selector.requires_cooccurrence)
+        self.local_db = LocalDatabase(
+            track_cooccurrence=selector.requires_cooccurrence
         )
         self.extractor = ResultExtractor(
-            server.interface,
-            interner=getattr(self.local_db, "interner", None),
+            server.interface, interner=self.local_db.interner
         )
         self.prober = DatabaseProber(
             server,
@@ -180,12 +172,9 @@ class CrawlerEngine:
         )
         selector.bind(self.context)
         self._issued: set[AnyQuery] = set()
-        # Dense-id mirror of context.queried_values (interned databases
-        # only): lets the candidate filter compare ints instead of
-        # hashing AttributeValues.
-        self._queried_ids: Optional[set[int]] = (
-            set() if hasattr(self.local_db, "interner") else None
-        )
+        # Dense-id mirror of context.queried_values: lets the candidate
+        # filter compare ints instead of hashing AttributeValues.
+        self._queried_ids: set[int] = set()
         self._started = False
         self._exhausted = False
         self._history = CrawlHistory()
@@ -364,14 +353,13 @@ class CrawlerEngine:
         self.context.lqueried.append(query)
         if value is not None:
             self.context.queried_values.add(value)
-            if self._queried_ids is not None:
-                self._queried_ids.add(self.local_db.intern_value(value))
+            self._queried_ids.add(self.local_db.intern_value(value))
         if outcome.aborted:
             self._aborted += 1
         if outcome.failed:
             self._failed += 1
         candidate_ids = outcome.candidate_ids
-        if candidate_ids is not None and self._queried_ids is not None:
+        if candidate_ids is not None:
             # Live interned path: candidate_ids mirrors candidate_values
             # 1:1, so the already-queried filter runs on ints.
             queried_ids = self._queried_ids
@@ -381,8 +369,7 @@ class CrawlerEngine:
                 if vid not in queried_ids:
                     add_candidate_id(vid, values[index])
         else:
-            # Value path: replayed outcomes (ids are never journaled) and
-            # non-interned databases.
+            # Value path: replayed outcomes (ids are never journaled).
             for candidate in outcome.candidate_values:
                 if candidate not in self.context.queried_values:
                     self.selector.add_candidate(candidate)
@@ -507,15 +494,13 @@ class CrawlerEngine:
             from repro.runtime.journal import encode_outcome
 
             state["outcomes"] = [encode_outcome(o) for o in self._outcomes]
-        interner = getattr(self.local_db, "interner", None)
-        if interner is not None:
-            # The dense id assignment (first-seen order, including
-            # frontier values no record contains).  Restoring it before
-            # the records re-add guarantees a resumed crawl holds the
-            # exact id layout of the original — no crawl decision reads
-            # id values, but keeping them identical makes resumed state
-            # snapshots byte-comparable to the original run's.
-            state["interner"] = encode_interner(interner)
+        # The dense id assignment (first-seen order, including frontier
+        # values no record contains).  Restoring it before the records
+        # re-add guarantees a resumed crawl holds the exact id layout of
+        # the original — no crawl decision reads id values, but keeping
+        # them identical makes resumed state snapshots byte-comparable
+        # to the original run's.
+        state["interner"] = encode_interner(self.local_db.interner)
         return state
 
     def load_state(self, state: dict) -> None:
@@ -563,21 +548,20 @@ class CrawlerEngine:
         self._history = CrawlHistory()
         for rounds, records in state["history"]:
             self._history.append(rounds, records)
-        # Restore the dense id assignment first (older checkpoints and
-        # non-interned databases simply skip this), then re-add records
-        # in insertion order to rebuild DB_local's graph (degrees,
-        # co-occurrence) exactly as the original crawl did.
+        # Restore the dense id assignment first (older checkpoints simply
+        # skip this), then re-add records in insertion order to rebuild
+        # DB_local's graph (degrees, co-occurrence) exactly as the
+        # original crawl did.
         interner_state = state.get("interner")
-        if interner_state is not None and hasattr(self.local_db, "interner"):
+        if interner_state is not None:
             self.local_db.load_interner_state(interner_state)
         for payload in state["records"]:
             self.local_db.add(decode_record(payload))
-        if self._queried_ids is not None:
-            # The snapshot's queried values are already in the restored
-            # interner, so this assigns no new ids; the sorted snapshot
-            # order keeps any fallback assignment deterministic anyway.
-            intern_value = self.local_db.intern_value
-            self._queried_ids.update(intern_value(v) for v in queried_values)
+        # The snapshot's queried values are already in the restored
+        # interner, so this assigns no new ids; the sorted snapshot order
+        # keeps any fallback assignment deterministic anyway.
+        intern_value = self.local_db.intern_value
+        self._queried_ids.update(intern_value(v) for v in queried_values)
         self.selector.load_state(state["selector"])
         if "outcomes" in state and self.keep_outcomes:
             from repro.runtime.journal import decode_outcome

@@ -211,15 +211,19 @@ class InternedPriorityFrontier(Frontier):
 
     **Incremental rescoring.**  :meth:`refresh_id` no longer scores and
     pushes eagerly; it only marks the id *dirty* (insertion-ordered,
-    deduplicated).  The dirty set drains at the next :meth:`pop` (or
-    :meth:`state_dict`): each dirty id is rescored — through
-    ``batch_score_fn`` in one call when provided — and re-pushed **only
+    deduplicated).  The dirty set drains at the next :meth:`pop`,
+    :meth:`state_dict` or explicit :meth:`flush`: the dirty ids are
+    rescored in one ``batch_score_fn`` call and each is re-pushed **only
     if its score actually changed** since its last push.  Both halves
     preserve the eager frontier's pop order exactly:
 
-    - *Deferral* keeps the push sequence: between a refresh and the next
-      pop nothing else pushes, so draining in mark order assigns ticks
-      in the same relative order the eager pushes would have.
+    - *Deferral* keeps the push sequence as long as nothing else pushes
+      between a refresh and the next drain; draining in mark order then
+      assigns ticks in the same relative order the eager pushes would
+      have.  A single frontier popped every step has that property for
+      free.  A caller that pushes into a frontier it did not pop since
+      the last refresh (one frontier of several, as in the adaptive
+      selector) must call :meth:`flush` after its refreshes.
     - *Skipping an unchanged push* is unobservable: among duplicate
       entries of one id at equal score the earliest tick pops first, so
       the redundant later push never wins — for this id or any tie.
@@ -256,9 +260,9 @@ class InternedPriorityFrontier(Frontier):
     value_fn:
         ``id -> AttributeValue`` (the interner's list index).
     batch_score_fn:
-        Optional ``ids -> [score, ...]`` scoring a whole dirty set in
-        one call (see :mod:`repro.policies.vectorized`); falls back to
-        per-id ``score_id_fn`` when None.
+        ``ids -> [score, ...]`` scoring a whole dirty set in one call
+        (see :mod:`repro.policies.vectorized`); must agree with
+        ``score_id_fn`` id for id.
     full_rescore_every:
         Rescore every pending id on each Nth flush (0 = never).
     rescore_head:
@@ -271,7 +275,7 @@ class InternedPriorityFrontier(Frontier):
         intern_fn: Callable[[AttributeValue], int],
         lookup_fn: Callable[[AttributeValue], Optional[int]],
         value_fn: Callable[[int], AttributeValue],
-        batch_score_fn: Optional[Callable[[Sequence[int]], Sequence[float]]] = None,
+        batch_score_fn: Callable[[Sequence[int]], Sequence[float]],
         full_rescore_every: int = 0,
         rescore_head: int = 8,
     ) -> None:
@@ -317,7 +321,7 @@ class InternedPriorityFrontier(Frontier):
         heapq.heappush(self._heap, (-score, self._tick, vid))
         return True
 
-    def _flush(self) -> None:
+    def flush(self) -> None:
         """Drain the dirty set into the heap (see class docstring)."""
         self._flushes += 1
         stats = self.stats
@@ -333,11 +337,7 @@ class InternedPriorityFrontier(Frontier):
         if ids:
             stats["dirty_total"] += len(dirty)
             stats["rescored_total"] += len(ids)
-            if self._batch_score is not None:
-                scores = self._batch_score(ids)
-            else:
-                score_id = self._score_id
-                scores = [score_id(vid) for vid in ids]
+            scores = self._batch_score(ids)
             last = self._last_pushed
             heap = self._heap
             pending = self._pending_ids
@@ -374,7 +374,7 @@ class InternedPriorityFrontier(Frontier):
         if self._pending == 0:
             return None
         if self._dirty or self._full_rescore_every or self._rescore_head:
-            self._flush()
+            self.flush()
         pending = self._pending_ids
         heap = self._heap
         while True:
@@ -433,7 +433,7 @@ class InternedPriorityFrontier(Frontier):
         # Drain the dirty set first: the flush performs exactly the
         # pushes the next pop would have, in the same order, so the
         # snapshot is self-consistent and taking it perturbs nothing.
-        self._flush()
+        self.flush()
         encode = encode or _default_encode
         value_of = self._value_of
         return {

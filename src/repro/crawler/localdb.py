@@ -21,9 +21,8 @@ queried-major.  Each value is hashed once per appearance (the intern lookup);
 everything after that is integer arithmetic.  The public API is
 unchanged — it accepts and returns :class:`AttributeValue` — and the
 ``*_id`` fast paths let the selectors skip even the single hash when
-they already hold an id.  The pre-interning dict implementation is
-retained verbatim as
-:class:`repro.crawler.reference.ReferenceLocalDatabase` and the
+they already hold an id.  The pre-interning dict implementation lives
+on as the test oracle ``tests/crawler/reference.py``, and the
 differential tests pin the two to identical statistics.
 
 Postings (per-value and keyword) are built *lazily*: :meth:`add` only

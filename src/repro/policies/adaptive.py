@@ -7,7 +7,7 @@ selection (Ntoulas et al. [21]) adapts to such statistics online; this
 selector brings that idea to the structured setting as a small bandit:
 
 - one degree-ranked frontier per queriable attribute (the *value*
-  choice stays GL),
+  choice stays GL, on GL's interned frontier),
 - a running per-attribute harvest-rate estimate (new records per page),
 - epsilon-greedy *attribute* choice: explore a random attribute with
   probability ``epsilon``, otherwise exploit the best observed rate.
@@ -22,9 +22,10 @@ from typing import Dict, Optional
 
 from repro.core.errors import CrawlError
 from repro.core.values import AttributeValue
-from repro.crawler.frontier import PriorityFrontier
+from repro.crawler.frontier import InternedPriorityFrontier
 from repro.crawler.prober import QueryOutcome
 from repro.policies.base import QuerySelector
+from repro.policies.greedy import GreedyLinkSelector
 
 
 class _AttributeStats:
@@ -56,8 +57,10 @@ class AdaptiveAttributeSelector(QuerySelector):
         if not 0.0 <= epsilon <= 1.0:
             raise CrawlError(f"epsilon must be in [0, 1], got {epsilon}")
         self.epsilon = epsilon
-        self._frontiers: Dict[str, PriorityFrontier] = {}
+        self._frontiers: Dict[str, InternedPriorityFrontier] = {}
         self._stats: Dict[str, _AttributeStats] = {}
+        # Builds each attribute's frontier exactly as GL builds its own.
+        self._ranking = GreedyLinkSelector()
 
     @property
     def name(self) -> str:
@@ -73,13 +76,11 @@ class AdaptiveAttributeSelector(QuerySelector):
         }
 
     # ------------------------------------------------------------------
-    def _frontier_for(self, attribute: str) -> PriorityFrontier:
+    def _frontier_for(self, attribute: str) -> InternedPriorityFrontier:
         frontier = self._frontiers.get(attribute)
         if frontier is None:
-            context = self._require_context()
-            frontier = PriorityFrontier(
-                lambda value: float(context.local_db.degree(value))
-            )
+            local = self._require_context().local_db
+            frontier = self._ranking.make_frontier(local)
             self._frontiers[attribute] = frontier
             self._stats[attribute] = _AttributeStats()
         return frontier
@@ -87,6 +88,10 @@ class AdaptiveAttributeSelector(QuerySelector):
     def add_candidate(self, value: AttributeValue) -> None:
         self._require_context()
         self._frontier_for(value.attribute).push(value)
+
+    def add_candidate_id(self, vid: int, value: AttributeValue) -> None:
+        self._require_context()
+        self._frontier_for(value.attribute).push_id(vid)
 
     def next_query(self) -> Optional[AttributeValue]:
         context = self._require_context()
@@ -108,10 +113,29 @@ class AdaptiveAttributeSelector(QuerySelector):
             stats = self._stats[attribute]
             stats.pages += outcome.pages_fetched
             stats.new_records += len(outcome.new_records)
-        for value in outcome.candidate_values:
-            frontier = self._frontiers.get(value.attribute)
-            if frontier is not None:
-                frontier.refresh(value)
+        frontiers = self._frontiers
+        touched = set()
+        values = outcome.candidate_values
+        candidate_ids = outcome.candidate_ids
+        if candidate_ids is not None:
+            for vid, value in zip(candidate_ids, values):
+                attribute = value.attribute
+                if attribute in frontiers:
+                    frontiers[attribute].refresh_id(vid)
+                    touched.add(attribute)
+        else:
+            # Replayed outcomes carry values only (ids are never journaled).
+            for value in values:
+                attribute = value.attribute
+                if attribute in frontiers:
+                    frontiers[attribute].refresh(value)
+                    touched.add(attribute)
+        # Drain now, not at the next pop: the next step may pop another
+        # attribute and then push into this one, and a push between a
+        # refresh and its drain would reorder ticks (see
+        # InternedPriorityFrontier).
+        for attribute in touched:
+            frontiers[attribute].flush()
 
     # ------------------------------------------------------------------
     # Checkpoint state (see repro.runtime)

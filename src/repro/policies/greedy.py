@@ -6,7 +6,7 @@ degree in the local graph ``G_local`` and always visits the
 highest-degree frontier value: hub values link to a large share of the
 database and uncover its "dense portion" quickly.
 
-The implementation leans on :class:`PriorityFrontier`'s lazy
+The implementation leans on :class:`InternedPriorityFrontier`'s lazy
 re-scoring, which is exact here because a value's local degree only
 grows as records arrive.
 
@@ -22,10 +22,9 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.core.errors import CrawlError
 from repro.core.values import AttributeValue
 from repro.crawler.context import CrawlerContext
-from repro.crawler.frontier import InternedPriorityFrontier, PriorityFrontier
+from repro.crawler.frontier import InternedPriorityFrontier
 from repro.crawler.prober import QueryOutcome
 from repro.policies import vectorized
 from repro.policies.base import QuerySelector
@@ -40,15 +39,9 @@ class _PrioritySelector(QuerySelector):
     keeping the priority frontier's view of ``G_local`` current without
     rescoring the whole frontier.
 
-    When the bound local database exposes an interner (the default
-    :class:`~repro.crawler.localdb.LocalDatabase`), the frontier runs on
-    dense int ids and the id-indexed score arrays — with the dirty-set
-    rescore vectorized over the statistic columns when numpy is present
-    (:mod:`repro.policies.vectorized`).  A database without an interner
-    (e.g. the differential
-    :class:`~repro.crawler.reference.ReferenceLocalDatabase`) gets the
-    original value-keyed frontier.  Pop order is identical either way —
-    the benchmark's bit-identity assertion depends on it.
+    The frontier runs on the local database's dense int ids; a flush
+    hands its whole dirty set to one numpy batch scorer over the live
+    statistic column (:mod:`repro.policies.vectorized`).
 
     Parameters
     ----------
@@ -58,57 +51,36 @@ class _PrioritySelector(QuerySelector):
         tests pin ``1`` against the default).
     rescore_head:
         Forwarded stale-head correction bound per flush.
-    use_vectorized:
-        ``None`` (default) auto-selects the numpy batch scorer when
-        available; ``False`` forces the scalar path; ``True`` requires
-        the batch scorer and raises if the platform cannot provide it.
     """
 
-    def __init__(
-        self,
-        full_rescore_every: int = 0,
-        rescore_head: int = 8,
-        use_vectorized: bool | None = None,
-    ) -> None:
+    def __init__(self, full_rescore_every: int = 0, rescore_head: int = 8) -> None:
         super().__init__()
         self.full_rescore_every = full_rescore_every
         self.rescore_head = rescore_head
-        self.use_vectorized = use_vectorized
-
-    def _score(self, value: AttributeValue) -> float:
-        raise NotImplementedError
 
     def _score_id_fn(self, local):
-        """Id-indexed score function over an interned local database."""
+        """Id-indexed score function over the local database."""
         raise NotImplementedError
 
     def _batch_score_fn(self, local):
-        """Numpy batch scorer over the database's columns, or None."""
-        return None
+        """Numpy batch scorer over the database's statistic column."""
+        raise NotImplementedError
+
+    def make_frontier(self, local) -> InternedPriorityFrontier:
+        """A frontier over ``local``'s ids ranked by this selector's score."""
+        return InternedPriorityFrontier(
+            self._score_id_fn(local),
+            local.intern_value,
+            local.value_id,
+            local.interner.value,
+            batch_score_fn=self._batch_score_fn(local),
+            full_rescore_every=self.full_rescore_every,
+            rescore_head=self.rescore_head,
+        )
 
     def bind(self, context: CrawlerContext) -> None:
         super().bind(context)
-        local = context.local_db
-        if hasattr(local, "interner"):
-            batch = None
-            if self.use_vectorized is not False:
-                batch = self._batch_score_fn(local)
-                if batch is None and self.use_vectorized is True:
-                    raise CrawlError(
-                        f"{type(self).__name__}(use_vectorized=True) but no "
-                        "numpy batch scorer is available on this platform"
-                    )
-            self._frontier = InternedPriorityFrontier(
-                self._score_id_fn(local),
-                local.intern_value,
-                local.value_id,
-                local.interner.value,
-                batch_score_fn=batch,
-                full_rescore_every=self.full_rescore_every,
-                rescore_head=self.rescore_head,
-            )
-        else:
-            self._frontier = PriorityFrontier(self._score)
+        self._frontier = self.make_frontier(context.local_db)
 
     def add_candidate(self, value: AttributeValue) -> None:
         self._require_context()
@@ -116,11 +88,7 @@ class _PrioritySelector(QuerySelector):
 
     def add_candidate_id(self, vid: int, value: AttributeValue) -> None:
         self._require_context()
-        frontier = self._frontier
-        if isinstance(frontier, InternedPriorityFrontier):
-            frontier.push_id(vid)
-        else:
-            frontier.push(value)
+        self._frontier.push_id(vid)
 
     def next_query(self) -> Optional[AttributeValue]:
         self._require_context()
@@ -133,14 +101,13 @@ class _PrioritySelector(QuerySelector):
             cpu0 = time.process_time()
         frontier = self._frontier
         candidate_ids = outcome.candidate_ids
-        if candidate_ids is not None and isinstance(
-            frontier, InternedPriorityFrontier
-        ):
+        if candidate_ids is not None:
             refreshed = len(candidate_ids)
             refresh_id = frontier.refresh_id
             for vid in candidate_ids:
                 refresh_id(vid)
         else:
+            # Replayed outcomes carry values only (ids are never journaled).
             refreshed = len(outcome.candidate_values)
             frontier.refresh_all(outcome.candidate_values)
         if emit is not None:
@@ -161,10 +128,7 @@ class _PrioritySelector(QuerySelector):
         return len(self._frontier)
 
     def frontier_stats(self) -> Optional[dict]:
-        frontier = self._frontier
-        if isinstance(frontier, InternedPriorityFrontier):
-            return {"pending": len(frontier), **frontier.stats}
-        return None
+        return {"pending": len(self._frontier), **self._frontier.stats}
 
 
 class GreedyLinkSelector(_PrioritySelector):
@@ -173,9 +137,6 @@ class GreedyLinkSelector(_PrioritySelector):
     @property
     def name(self) -> str:
         return "greedy-link"
-
-    def _score(self, value: AttributeValue) -> float:
-        return float(self._require_context().local_db.degree(value))
 
     def _score_id_fn(self, local):
         degree_id = local.degree_id
@@ -191,9 +152,6 @@ class GreedyFrequencySelector(_PrioritySelector):
     @property
     def name(self) -> str:
         return "greedy-frequency"
-
-    def _score(self, value: AttributeValue) -> float:
-        return float(self._require_context().local_db.frequency(value))
 
     def _score_id_fn(self, local):
         frequency_id = local.frequency_id

@@ -55,14 +55,6 @@ class MinMaxMutualInformationSelector(QuerySelector):
         with no co-occurrence at all (score ``-inf``) — prefer higher
         local degree, keeping GL's productivity signal as a secondary
         key.
-    use_vectorized:
-        ``None`` (default) auto-selects the numpy batch recompute
-        (:func:`repro.policies.vectorized.mmmi_shortlist`) when the
-        platform and configuration support it (``aggregate="max"`` on a
-        co-occurrence-tracking interned database); ``False`` forces the
-        scalar recompute; ``True`` requires the kernel and raises at
-        bind time if it cannot run.  Both paths are bit-identical (see
-        the differential suite).
     """
 
     requires_cooccurrence = True
@@ -73,7 +65,6 @@ class MinMaxMutualInformationSelector(QuerySelector):
         aggregate: str = "max",
         tie_break_degree: bool = True,
         popularity_weight: float = 1.0,
-        use_vectorized: Optional[bool] = None,
     ) -> None:
         super().__init__()
         if batch_size < 1:
@@ -86,7 +77,6 @@ class MinMaxMutualInformationSelector(QuerySelector):
         self.aggregate = aggregate
         self.tie_break_degree = tie_break_degree
         self.popularity_weight = popularity_weight
-        self.use_vectorized = use_vectorized
         # Candidate values mapped to their cached interned id (None
         # until the value is first seen in a harvested record); dict
         # order is insertion order but never influences selection — the
@@ -101,14 +91,10 @@ class MinMaxMutualInformationSelector(QuerySelector):
 
     def bind(self, context) -> None:
         super().bind(context)
-        if self.use_vectorized is True and not (
-            self.aggregate == "max"
-            and vectorized.supports_mmmi(context.local_db)
-        ):
+        if not context.local_db.track_cooccurrence:
             raise CrawlError(
-                "MinMaxMutualInformationSelector(use_vectorized=True) "
-                "requires aggregate='max', a co-occurrence-tracking "
-                "interned database, and numpy"
+                "MinMaxMutualInformationSelector needs a local database "
+                "built with track_cooccurrence=True"
             )
 
     # ------------------------------------------------------------------
@@ -231,10 +217,7 @@ class MinMaxMutualInformationSelector(QuerySelector):
         descending: the *last* element is the best (lowest-score)
         candidate.
 
-        An interned local database gets the id-indexed pass below; any
-        other database falls back to the public value-keyed API.  Both
-        produce the same ordering: scores are identical arithmetic and
-        the final tie-break key is the :class:`AttributeValue` itself
+        The final tie-break key is the :class:`AttributeValue` itself
         (ids are first-seen order, not lexicographic, so they must never
         leak into the sort key).
         """
@@ -243,17 +226,7 @@ class MinMaxMutualInformationSelector(QuerySelector):
             wall0 = time.perf_counter()
             cpu0 = time.process_time()
         context = self._require_context()
-        local = context.local_db
-        if hasattr(local, "interner"):
-            self._ordered = self._order_interned(local, context)
-        else:
-            def sort_key(value: AttributeValue):
-                degree = local.degree(value) if self.tie_break_degree else 0
-                # Descending score first (tail = smallest); among equals,
-                # ascending degree (tail = largest degree).
-                return (-self.selection_score(value), degree, value)
-
-            self._ordered = sorted(self._candidates, key=sort_key)
+        self._ordered = self._order(context.local_db, context)
         self._since_recompute = 0
         if emit is not None:
             emit(
@@ -263,7 +236,7 @@ class MinMaxMutualInformationSelector(QuerySelector):
                 {"candidates": len(self._ordered)},
             )
 
-    def _order_interned(self, local, context) -> List[AttributeValue]:
+    def _order(self, local, context) -> List[AttributeValue]:
         """The batch recompute on dense ids — the MMMI hot loop.
 
         One interner lookup per queried value; candidate ids are cached
@@ -272,25 +245,10 @@ class MinMaxMutualInformationSelector(QuerySelector):
         consumed before the next recompute, so a bounded
         ``heapq.nlargest`` replaces the full sort — keys are unique
         (final tie-break is the value itself), making the selection
-        independent of candidate iteration order.
-
-        With numpy and ``aggregate="max"``, every candidate is scored at
-        once by :func:`repro.policies.vectorized.mmmi_shortlist`: an
-        approximate ``np.log``/``np.log1p`` score per candidate,
-        ``np.partition`` for the ``batch_size``-th best approximate key
-        ``A_k``, and a shortlist of the candidates whose approximate key
-        is at least ``A_k − margin`` (typically a few dozen of ~15k).
-        Only the shortlist gets an exact Python key, from the same
-        ``math.log``/``math.log1p`` arithmetic as the scalar branch.
-        This is exact, not a heuristic: if numpy's logs differ from
-        libm's by at most ``δ`` per key, every member of the exact top
-        ``batch_size`` has an approximate key of at least ``A_k − 2δ``,
-        and the fixed margin (``1e-9·max(1, S)``, ``S`` the largest
-        score-term magnitude) is far above ``2δ``.  The scalar branch
-        iterates candidate-major through ``dependency_score_ids`` and
-        keys every candidate; the differential suite pins the two to
-        identical orderings.  Candidates with no interned id keep the
-        ``(0.0, 0, value)`` key on both branches.
+        independent of candidate iteration order.  ``aggregate="max"``
+        keys through :meth:`_max_keys`, ``"mean"`` through
+        :meth:`_scalar_keys`.  Candidates with no interned id get the
+        ``(0.0, 0, value)`` key.
         """
         lookup = local.value_id
         queried_ids = {
@@ -318,41 +276,10 @@ class MinMaxMutualInformationSelector(QuerySelector):
                     candidates[value] = vid
                 values.append(value)
                 ids.append(vid)
-        use_max = self.aggregate == "max"
-        weight = self.popularity_weight
-        tie_break = self.tie_break_degree
-        log1p = math.log1p
-        use_vec = (
-            self.use_vectorized is not False
-            and use_max
-            and vectorized.supports_mmmi(local)
-        )
-        if use_vec:
-            log = math.log
-            picks, ratios, degrees = vectorized.mmmi_shortlist(
-                local, queried_ids, ids, weight, self.batch_size
-            )
-            for index, ratio, degree in zip(picks, ratios, degrees):
-                # log(max ratio) == max(log ratio): one scalar math.log
-                # per shortlisted candidate keeps libm bit-identity with
-                # the scalar path.  Ratio 0 is the no-co-occurrence
-                # sentinel.
-                score = log(ratio) if ratio > 0.0 else 0.0
-                if weight:
-                    score -= weight * log1p(degree)
-                keyed.append((-score, degree if tie_break else 0, values[index]))
+        if self.aggregate == "max":
+            keyed += self._max_keys(local, queried_ids, values, ids)
         else:
-            dependency_score = local.dependency_score_ids
-            degree_id = local.degree_id
-            neg_inf = -math.inf
-            for value, vid in zip(values, ids):
-                score = dependency_score(vid, queried_ids, use_max)
-                if score == neg_inf:
-                    score = 0.0  # independent; judged on popularity alone
-                degree = degree_id(vid)
-                if weight:
-                    score -= weight * log1p(degree)
-                keyed.append((-score, degree if tie_break else 0, value))
+            keyed += self._scalar_keys(local, queried_ids, values, ids, use_max=False)
         take = self.batch_size
         if len(keyed) <= take:
             keyed.sort()
@@ -360,3 +287,63 @@ class MinMaxMutualInformationSelector(QuerySelector):
         top = heapq.nlargest(take, keyed)
         top.reverse()  # ascending; consumed best-first from the tail
         return [value for _neg_score, _degree, value in top]
+
+    def _max_keys(self, local, queried_ids, values, ids) -> list:
+        """Exact keys of the candidates that can rank in the batch (``max``).
+
+        Every candidate is scored at once by
+        :func:`repro.policies.vectorized.mmmi_shortlist`: an approximate
+        ``np.log``/``np.log1p`` score per candidate, ``np.partition``
+        for the ``batch_size``-th best approximate key ``A_k``, and a
+        shortlist of the candidates whose approximate key is at least
+        ``A_k − margin`` (typically a few dozen of ~15k).  Only the
+        shortlist gets an exact Python key, from the same
+        ``math.log``/``math.log1p`` arithmetic as :meth:`_scalar_keys`.
+        This is exact, not a heuristic: if numpy's logs differ from
+        libm's by at most ``δ`` per key, every member of the exact top
+        ``batch_size`` has an approximate key of at least ``A_k − 2δ``,
+        and the fixed margin (``1e-9·max(1, S)``, ``S`` the largest
+        score-term magnitude) is far above ``2δ``.  The differential
+        suite pins the selection to :meth:`_scalar_keys` with
+        ``use_max=True``.
+        """
+        weight = self.popularity_weight
+        tie_break = self.tie_break_degree
+        log = math.log
+        log1p = math.log1p
+        picks, ratios, degrees = vectorized.mmmi_shortlist(
+            local, queried_ids, ids, weight, self.batch_size
+        )
+        keyed = []
+        for index, ratio, degree in zip(picks, ratios, degrees):
+            # log(max ratio) == max(log ratio): one scalar math.log per
+            # shortlisted candidate keeps libm bit-identity with the
+            # scalar keys.  Ratio 0 is the no-co-occurrence sentinel.
+            score = log(ratio) if ratio > 0.0 else 0.0
+            if weight:
+                score -= weight * log1p(degree)
+            keyed.append((-score, degree if tie_break else 0, values[index]))
+        return keyed
+
+    def _scalar_keys(self, local, queried_ids, values, ids, use_max: bool) -> list:
+        """Exact keys of every candidate, candidate-major.
+
+        The only path of ``aggregate="mean"``, whose log sum the numpy
+        kernels do not reproduce.
+        """
+        weight = self.popularity_weight
+        tie_break = self.tie_break_degree
+        log1p = math.log1p
+        dependency_score = local.dependency_score_ids
+        degree_id = local.degree_id
+        neg_inf = -math.inf
+        keyed = []
+        for value, vid in zip(values, ids):
+            score = dependency_score(vid, queried_ids, use_max)
+            if score == neg_inf:
+                score = 0.0  # independent; judged on popularity alone
+            degree = degree_id(vid)
+            if weight:
+                score -= weight * log1p(degree)
+            keyed.append((-score, degree if tie_break else 0, value))
+        return keyed

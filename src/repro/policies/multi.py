@@ -179,30 +179,26 @@ class GreedyCliqueSelector(_CliqueSelector):
         return "greedy-clique"
 
     def _score(self, combo: Combo) -> float:
+        # One interner lookup per predicate, then array reads and a
+        # sorted-postings intersection.
         local = self._require_context().local_db
-        if hasattr(local, "interner"):
-            # Id-indexed path: one interner lookup per predicate, then
-            # array reads and a sorted-postings intersection.
-            lookup = local.value_id
-            degree_id = local.degree_id
-            vids = []
-            min_degree: Optional[int] = None
-            for pair in combo:
-                vid = lookup(pair)
-                if vid is None:
-                    # Unseen vertex: degree 0 bottlenecks the product.
-                    return 0.0
-                vids.append(vid)
-                degree = degree_id(vid)
-                if min_degree is None or degree < min_degree:
-                    min_degree = degree
-            if not min_degree:
+        lookup = local.value_id
+        degree_id = local.degree_id
+        vids = []
+        min_degree: Optional[int] = None
+        for pair in combo:
+            vid = lookup(pair)
+            if vid is None:
+                # Unseen vertex: degree 0 bottlenecks the product.
                 return 0.0
-            joint = local.conjunctive_frequency_ids(vids)
-            return min_degree * (1.0 + joint)
-        degrees = [local.degree(pair) for pair in combo]
-        joint = local.conjunctive_frequency(combo)
-        return min(degrees) * (1.0 + joint)
+            vids.append(vid)
+            degree = degree_id(vid)
+            if min_degree is None or degree < min_degree:
+                min_degree = degree
+        if not min_degree:
+            return 0.0
+        joint = local.conjunctive_frequency_ids(vids)
+        return min_degree * (1.0 + joint)
 
     def _make_frontier(self) -> None:
         self._frontier = PriorityFrontier(

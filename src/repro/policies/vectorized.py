@@ -1,10 +1,10 @@
 """Batch scoring kernels over the interned statistic columns.
 
-The scalar hot loops — GL's per-id degree lookups and MMMI's per-pair
-PMI reads — spend most of their time in Python-level dict/array access.
-This module lifts both onto numpy views built **directly on the live
-``array('I')`` columns** of :class:`~repro.crawler.localdb.LocalDatabase`
-(no copies of the statistics, only of the gathered results):
+These kernels are the only scoring path of GL, GF and MMMI's ``max``
+aggregate (numpy is a hard dependency).  They read numpy views built
+**directly on the live ``array('I')`` columns** of
+:class:`~repro.crawler.localdb.LocalDatabase` (no copies of the
+statistics, only of the gathered results):
 
 - :func:`degree_batch_scorer` / :func:`frequency_batch_scorer` gather
   many frontier scores in one fancy-index read — the incremental
@@ -18,8 +18,10 @@ This module lifts both onto numpy views built **directly on the live
   scores every candidate approximately and returns only the few that
   can rank in the batch, for the caller to key exactly.
 
-Bit-identity with the scalar path is a design constraint, not an
-accident:
+Bit-identity with the per-id scalar arithmetic (``degree_id``,
+``dependency_score_ids``) is a design constraint, not an accident — the
+differential tests keep scalar references in ``tests/`` and pin every
+kernel to them:
 
 - The ratio arithmetic is exact.  All inputs are integers below 2⁵³, so
   ``joint * n`` and ``f_cand * f_q`` are exact in float64 and the single
@@ -36,31 +38,23 @@ accident:
   neighbours, and ``max`` is order-independent.
 
 The MMMI kernels are only equivalent to ``aggregate="max"``; the
-``mean`` variant sums logs in set-iteration order and stays on the
-scalar path.
+``mean`` variant sums logs in set-iteration order and keeps MMMI's
+scalar key loop.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except Exception:  # pragma: no cover - numpy-less platforms
-    np = None  # type: ignore[assignment]
+import numpy as np
 
-#: ``array('I')`` must be 4 bytes for the zero-copy uint32 views; on the
-#: (rare) platform where it is not, every kernel silently declines.
-_U32_OK = np is not None and array("I").itemsize == 4
+#: The zero-copy uint32 views below read ``array('I')`` buffers directly.
+if array("I").itemsize != 4:  # pragma: no cover - no supported platform
+    raise ImportError("repro needs a 4-byte array('I') for its uint32 column views")
 
 BatchScoreFn = Callable[[Sequence[int]], List[float]]
-
-
-def available() -> bool:
-    """Whether the numpy kernels can run on this platform."""
-    return _U32_OK
 
 
 def _column_scorer(column_fn: Callable[[], array]) -> BatchScoreFn:
@@ -79,34 +73,14 @@ def _column_scorer(column_fn: Callable[[], array]) -> BatchScoreFn:
     return score_ids
 
 
-def degree_batch_scorer(local) -> Optional[BatchScoreFn]:
-    """GL's batch scorer over the live degree column, or None."""
-    if not _U32_OK:
-        return None
-    column_fn = getattr(local, "degree_column", None)
-    if column_fn is None:
-        return None
-    return _column_scorer(column_fn)
+def degree_batch_scorer(local) -> BatchScoreFn:
+    """GL's batch scorer over the live degree column."""
+    return _column_scorer(local.degree_column)
 
 
-def frequency_batch_scorer(local) -> Optional[BatchScoreFn]:
-    """GF's batch scorer over the live frequency column, or None."""
-    if not _U32_OK:
-        return None
-    column_fn = getattr(local, "frequency_column", None)
-    if column_fn is None:
-        return None
-    return _column_scorer(column_fn)
-
-
-def supports_mmmi(local) -> bool:
-    """Whether :func:`mmmi_best_ratios` can serve this database."""
-    return (
-        _U32_OK
-        and getattr(local, "track_cooccurrence", False)
-        and hasattr(local, "cooc_row")
-        and hasattr(local, "frequency_column")
-    )
+def frequency_batch_scorer(local) -> BatchScoreFn:
+    """GF's batch scorer over the live frequency column."""
+    return _column_scorer(local.frequency_column)
 
 
 def mmmi_best_ratios(
@@ -117,7 +91,7 @@ def mmmi_best_ratios(
     Returns ``best[i] = max_q joint(c_i, q)·n / (f(c_i)·f(q))`` over the
     issued queries ``q`` co-occurring with candidate ``c_i``, or ``0.0``
     when none co-occurs (ratios are strictly positive, so 0 is a safe
-    sentinel; the scalar path's ``-inf`` dependency maps to the same
+    sentinel; ``dependency_score_ids``'s ``-inf`` maps to the same
     "independent" outcome).  ``math.log`` of each positive entry equals
     the scalar ``dependency_score_ids(..., use_max=True)`` bit for bit.
     """

@@ -23,6 +23,7 @@ from repro.policies import (
     MinMaxMutualInformationSelector,
 )
 from repro.server import SimulatedWebDatabase
+from tests.policies.scalar import ScalarGreedyFrequency, ScalarGreedyLink
 
 
 def AV(attribute, value):
@@ -37,6 +38,7 @@ class ScoreWorld:
         self.scores: dict[int, float] = {}
         self.frontier = InternedPriorityFrontier(
             score_id_fn=lambda vid: self.scores.get(vid, 0.0),
+            batch_score_fn=lambda ids: [self.scores.get(vid, 0.0) for vid in ids],
             intern_fn=self.interner.intern,
             lookup_fn=self.interner.lookup,
             value_fn=self.interner.value,
@@ -212,14 +214,16 @@ class TestCrawlLevelIdentity:
     """Full crawls: every frontier configuration issues the same queries."""
 
     @pytest.mark.parametrize(
-        "factory", [GreedyLinkSelector, GreedyFrequencySelector]
+        "factory, scalar",
+        [
+            (GreedyLinkSelector, ScalarGreedyLink),
+            (GreedyFrequencySelector, ScalarGreedyFrequency),
+        ],
     )
-    def test_incremental_equals_full_rescore(self, small_ebay, factory):
+    def test_incremental_equals_full_rescore(self, small_ebay, factory, scalar):
         base, base_q = crawl_pair(small_ebay, factory())
         full, full_q = crawl_pair(small_ebay, factory(full_rescore_every=1))
-        scalar_full, _ = crawl_pair(
-            small_ebay, factory(full_rescore_every=1, use_vectorized=False)
-        )
+        scalar_full, _ = crawl_pair(small_ebay, scalar(full_rescore_every=1))
         assert base_q == full_q
         assert base == full == scalar_full
 

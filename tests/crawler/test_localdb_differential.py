@@ -3,7 +3,7 @@
 The dense-interning rewrite of :class:`repro.crawler.localdb.
 LocalDatabase` must be *invisible* — every statistic it serves has to
 match the retained pure-dict implementation
-(:class:`repro.crawler.reference.ReferenceLocalDatabase`) on any record
+(:class:`tests.crawler.reference.ReferenceLocalDatabase`) on any record
 stream.  These tests feed byte-identical seeded streams to both and
 compare the full statistical surface:
 
@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 
 from repro.core import AttributeValue, ValueInterner
 from repro.core.records import Record
-from repro.crawler import LocalDatabase, ReferenceLocalDatabase
+from repro.crawler import LocalDatabase
+from tests.crawler.reference import ReferenceLocalDatabase
 
 ATTRIBUTES = ("author", "venue", "year", "tags")
 VALUES = tuple(f"v{i}" for i in range(12))

@@ -1,22 +1,24 @@
-"""Differential tests: vectorized scoring must match the scalar path bit for bit.
+"""Differential tests: vectorized scoring must match scalar arithmetic bit for bit.
 
-The numpy kernels in :mod:`repro.policies.vectorized` are pure
-accelerators — every selection decision they feed must be *identical*
-to the pure-python loops they replace, or parallel/accelerated runs
-stop being reproductions of the paper's sequential crawls.  These tests
-pin that contract two ways:
+The numpy kernels in :mod:`repro.policies.vectorized` are the only
+scoring path of GL, GF and MMMI — every selection decision they feed
+must be *identical* to the pure-python per-id arithmetic, or the crawls
+stop being reproductions of the paper's sequential definitions.  The
+scalar references live in :mod:`tests.policies.scalar`.  These tests
+pin that contract three ways:
 
-- **Crawl-level**: full crawls with ``use_vectorized=True`` vs ``False``
-  produce equal :class:`~repro.crawler.engine.CrawlResult`\\ s (same
-  query sequence, same step history, same coverage).
+- **Crawl-level**: full crawls on the shipped selectors vs their scalar
+  subclasses produce equal :class:`~repro.crawler.engine.CrawlResult`\\ s
+  (same query sequence, same step history, same coverage).
 - **Kernel-level**: the batch scorers and :func:`mmmi_best_ratios`
   reproduce the scalar arithmetic exactly — including the zero
   frequency, empty-queried-set, no-co-occurrence, and id-past-column
   edges where the guards (not the arithmetic) decide the answer.
-- **Recompute-level**: MMMI's ``_order_interned`` returns the same
-  ordering on both branches, including when the vectorized branch's
-  approximate ``np.log`` shortlist cuts through ties or through a
-  candidate whose numpy and libm logarithms disagree.
+- **Recompute-level**: MMMI's ``_order`` returns the same ordering
+  through the shortlist kernel and through the scalar key loop,
+  including when the kernel's approximate ``np.log`` shortlist cuts
+  through ties or through a candidate whose numpy and libm logarithms
+  disagree.
 """
 
 import math
@@ -36,10 +38,7 @@ from repro.policies import (
 from repro.policies import vectorized
 from repro.server import QueryInterface, SimulatedWebDatabase
 from tests.conftest import make_record
-
-needs_numpy = pytest.mark.skipif(
-    not vectorized.available(), reason="numpy kernels unavailable"
-)
+from tests.policies.scalar import ScalarGreedyFrequency, ScalarGreedyLink, ScalarMMMI
 
 
 def AV(attribute, value):
@@ -59,52 +58,49 @@ def crawl_signature(table, selector, max_queries=45):
     return result, list(engine.context.lqueried)
 
 
-@needs_numpy
 class TestCrawlLevelIdentity:
     @pytest.mark.parametrize(
-        "factory", [GreedyLinkSelector, GreedyFrequencySelector]
+        "factory, scalar",
+        [
+            (GreedyLinkSelector, ScalarGreedyLink),
+            (GreedyFrequencySelector, ScalarGreedyFrequency),
+        ],
     )
-    def test_priority_selectors_match_scalar(self, small_ebay, factory):
-        fast, fast_q = crawl_signature(small_ebay, factory(use_vectorized=True))
-        slow, slow_q = crawl_signature(small_ebay, factory(use_vectorized=False))
+    def test_priority_selectors_match_scalar(self, small_ebay, factory, scalar):
+        fast, fast_q = crawl_signature(small_ebay, factory())
+        slow, slow_q = crawl_signature(small_ebay, scalar())
         assert fast_q == slow_q
         assert fast == slow
 
     def test_mmmi_matches_scalar(self, small_ebay):
-        fast, fast_q = crawl_signature(
-            small_ebay, MinMaxMutualInformationSelector(use_vectorized=True)
-        )
-        slow, slow_q = crawl_signature(
-            small_ebay, MinMaxMutualInformationSelector(use_vectorized=False)
-        )
+        fast, fast_q = crawl_signature(small_ebay, MinMaxMutualInformationSelector())
+        slow, slow_q = crawl_signature(small_ebay, ScalarMMMI())
         assert fast_q == slow_q
         assert fast == slow
 
     def test_mmmi_small_batch_matches_scalar(self, small_ebay):
         """Frequent recomputes stress the queried-major scatter path."""
         fast, _ = crawl_signature(
-            small_ebay,
-            MinMaxMutualInformationSelector(batch_size=5, use_vectorized=True),
+            small_ebay, MinMaxMutualInformationSelector(batch_size=5)
         )
-        slow, _ = crawl_signature(
-            small_ebay,
-            MinMaxMutualInformationSelector(batch_size=5, use_vectorized=False),
-        )
+        slow, _ = crawl_signature(small_ebay, ScalarMMMI(batch_size=5))
         assert fast == slow
 
 
 class TestVectorizedValidation:
-    def test_mean_aggregate_rejects_forced_vectorized(self, small_ebay):
-        """The kernel only reproduces ``max``; forcing it on ``mean`` fails."""
-        selector = MinMaxMutualInformationSelector(
-            aggregate="mean", use_vectorized=True
+    def test_untracked_database_is_rejected(self, small_ebay):
+        """MMMI reads co-occurrence rows; binding without them fails."""
+        context = CrawlerContext(
+            local_db=LocalDatabase(track_cooccurrence=False),
+            interface=SimulatedWebDatabase(small_ebay, page_size=10).interface,
+            page_size=10,
+            rng=random.Random(0),
         )
-        server = SimulatedWebDatabase(small_ebay, page_size=10)
-        with pytest.raises(CrawlError):
-            CrawlerEngine(server, selector, seed=11)
+        with pytest.raises(CrawlError, match="track_cooccurrence"):
+            MinMaxMutualInformationSelector().bind(context)
 
     def test_mean_aggregate_auto_stays_scalar(self, small_ebay):
-        """``use_vectorized=None`` silently keeps mean on the scalar path."""
+        """``aggregate="mean"`` crawls on the scalar key loop."""
         result, _ = crawl_signature(
             small_ebay,
             MinMaxMutualInformationSelector(aggregate="mean"),
@@ -130,7 +126,6 @@ def correlated_local():
     return local
 
 
-@needs_numpy
 class TestMMMIKernelEdges:
     def scalar_bits(self, local, queried_ids, cand_ids):
         """The scalar reference: exp of dependency_score_ids per candidate."""
@@ -201,7 +196,6 @@ class TestMMMIKernelEdges:
         )
 
 
-@needs_numpy
 class TestColumnScorerEdges:
     @pytest.mark.parametrize(
         "make_scorer, scalar_name",
@@ -213,7 +207,6 @@ class TestColumnScorerEdges:
     def test_matches_scalar_loop(self, make_scorer, scalar_name):
         local = correlated_local()
         scorer = make_scorer(local)
-        assert scorer is not None
         scalar = getattr(local, scalar_name)
         ids = list(range(len(local.interner)))
         random.Random(3).shuffle(ids)
@@ -254,7 +247,7 @@ class TestColumnScorerEdges:
 
 
 def mmmi_orders(records, queried, candidates, batch_size, **options):
-    """``_order_interned`` on the vectorized and the scalar branch.
+    """``_order`` through the shortlist kernel and through the scalar loop.
 
     Both selectors read one shared local database built from
     ``records``; ``candidates`` not interned there arrive by value and
@@ -264,7 +257,7 @@ def mmmi_orders(records, queried, candidates, batch_size, **options):
     for record in records:
         local.add(record)
     orders = []
-    for use_vectorized in (True, False):
+    for selector_cls in (MinMaxMutualInformationSelector, ScalarMMMI):
         context = CrawlerContext(
             local_db=local,
             interface=QueryInterface(frozenset({"a", "b", "c"})),
@@ -272,9 +265,7 @@ def mmmi_orders(records, queried, candidates, batch_size, **options):
             rng=random.Random(0),
             queried_values=set(queried),
         )
-        selector = MinMaxMutualInformationSelector(
-            batch_size=batch_size, use_vectorized=use_vectorized, **options
-        )
+        selector = selector_cls(batch_size=batch_size, **options)
         selector.bind(context)
         for value in candidates:
             vid = local.value_id(value)
@@ -282,7 +273,7 @@ def mmmi_orders(records, queried, candidates, batch_size, **options):
                 selector.add_candidate(value)
             else:
                 selector.add_candidate_id(vid, value)
-        orders.append(selector._order_interned(local, context))
+        orders.append(selector._order(local, context))
     return orders
 
 
@@ -303,7 +294,6 @@ POOLS = {"a": "pqrs", "b": "tuvwxyz", "c": "0123456789"}
 UNIVERSE = sorted(AV(a, v) for a, pool in POOLS.items() for v in pool)
 
 
-@needs_numpy
 class TestMMMIShortlistExactness:
     @pytest.mark.parametrize("batch_size", [1, 5, 25, 100_000])
     def test_orderings_match_scalar(self, small_ebay, batch_size):

@@ -1,12 +1,13 @@
 """Crash/resume under the performance knobs.
 
-The incremental frontier and the vectorized kernels are pure
-accelerations — so a crawl configured with them must not only match an
-unaccelerated crawl, it must *crash and resume* into the same
-bit-identical result.  The resumed process may even disagree with the
-crashed one about the knobs (scalar reference vs vectorized resume):
-the checkpoint encodes scores and values, never kernel choices, so any
-configuration must resume any other's checkpoint losslessly.
+The incremental frontier and the vectorized kernels must reproduce the
+scalar arithmetic exactly — so a crawl running on them must not only
+match a scalar reference crawl (:mod:`tests.policies.scalar`), it must
+*crash and resume* into the same bit-identical result.  The resumed
+process may even disagree with the crashed one about the kernel (scalar
+reference crashes, vectorized resume): the checkpoint encodes scores and
+values, never kernel choices, so any configuration must resume any
+other's checkpoint losslessly.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from __future__ import annotations
 import pytest
 
 from repro.policies import (
+    AdaptiveAttributeSelector,
     GreedyLinkSelector,
     GreedyMmmiSelector,
     MinMaxMutualInformationSelector,
 )
-from repro.policies import vectorized
 from repro.runtime.crawler import RuntimeCrawler
 from repro.runtime.events import CrashAfterSteps, EventBus, SimulatedCrash
 
@@ -30,6 +31,7 @@ from tests.runtime.conftest import (
     make_flaky_server,
     seed_values,
 )
+from tests.policies.scalar import ScalarGreedyLink, ScalarMMMI
 
 CRASH_AFTER = 13
 
@@ -43,13 +45,13 @@ CONFIGS = {
     ),
     "gl-scalar-to-vectorized": (
         lambda: GreedyLinkSelector(),
-        lambda: GreedyLinkSelector(use_vectorized=False),
-        lambda: GreedyLinkSelector(use_vectorized=True),
+        lambda: ScalarGreedyLink(),
+        lambda: GreedyLinkSelector(),
     ),
     "mmmi-vectorized": (
-        lambda: MinMaxMutualInformationSelector(batch_size=5, use_vectorized=False),
-        lambda: MinMaxMutualInformationSelector(batch_size=5, use_vectorized=True),
-        lambda: MinMaxMutualInformationSelector(batch_size=5, use_vectorized=True),
+        lambda: ScalarMMMI(batch_size=5),
+        lambda: MinMaxMutualInformationSelector(batch_size=5),
+        lambda: MinMaxMutualInformationSelector(batch_size=5),
     ),
     # Switches to MMMI at step 6 of 50, before the crash at step 13, so
     # the resume crosses the MMMI phase: its candidate ids are not
@@ -59,17 +61,20 @@ CONFIGS = {
         lambda: GreedyMmmiSelector(switch_coverage=0.2, detector=None, batch_size=5),
         lambda: GreedyMmmiSelector(switch_coverage=0.2, detector=None, batch_size=5),
     ),
+    # Per-attribute interned frontiers: the replayed steps refresh by
+    # value and must flush exactly as the live id path does.
+    "adaptive": (
+        lambda: AdaptiveAttributeSelector(epsilon=0.3),
+        lambda: AdaptiveAttributeSelector(epsilon=0.3),
+        lambda: AdaptiveAttributeSelector(epsilon=0.3),
+    ),
 }
-
-VECTOR_KEYS = {"gl-scalar-to-vectorized", "mmmi-vectorized", "greedy-mmmi"}
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_crash_resume_matches_unaccelerated_reference(
     tmp_path, config, flaky_table
 ):
-    if config in VECTOR_KEYS and not vectorized.available():
-        pytest.skip("numpy kernels unavailable")
     make_reference, make_crashing, make_resuming = CONFIGS[config]
 
     reference = make_engine(flaky_table, make_reference()).crawl(

@@ -1,7 +1,7 @@
 """The bench-regression gate must survive benchmark-schema drift.
 
 ``scripts/check_bench_regression.py`` compares a fresh
-``BENCH_hotpath.json`` against the committed baseline.  Benchmarks grow
+``BENCH_*.json`` report against its committed baseline.  Benchmarks grow
 new per-policy keys over time (steps/sec, frontier counters, shm
 accounting), and old baselines may predate keys the fresh run emits —
 the gate must compare only the gated metrics both sides share, never
