@@ -13,14 +13,13 @@ Run:  python examples/resumable_crawl.py
 import tempfile
 from pathlib import Path
 
-from repro.analysis.reports import render_runtime_metrics
 from repro.crawler import CrawlerEngine
 from repro.datasets import generate_ebay
+from repro.metrics import TelemetrySink, render_metrics_summary
 from repro.policies import GreedyLinkSelector
 from repro.runtime import (
     CrashAfterSteps,
     EventBus,
-    MetricsAggregator,
     RuntimeCrawler,
     SimulatedCrash,
 )
@@ -82,9 +81,11 @@ def main() -> None:
 
     # Recovery: fresh server + selector, state rebuilt from disk.  The
     # journal is replayed through the selector itself, so it re-proposes
-    # exactly the queries the dead crawl issued.
+    # exactly the queries the dead crawl issued.  The telemetry sink's
+    # registry counts the crawl from here on (replayed steps charge no
+    # events).
     bus = EventBus()
-    metrics = bus.attach(MetricsAggregator())
+    telemetry = TelemetrySink(truth_size=len(table))
     fresh_server, _ = make_parts(table)
     resumed = RuntimeCrawler.resume(
         checkpoint_dir,
@@ -92,6 +93,7 @@ def main() -> None:
         GreedyLinkSelector(),
         backoff=ExponentialBackoff.charging(seconds_per_round=10.0),
         bus=bus,
+        telemetry=telemetry,
     )
     print(f"resumed at step: {resumed.engine.steps} "
           f"(lost only the in-flight step)")
@@ -103,7 +105,7 @@ def main() -> None:
     match = "bit-identical" if result == reference else "MISMATCH"
     print(f"vs reference:    {match}")
     print()
-    print(render_runtime_metrics(metrics))
+    print(render_metrics_summary(telemetry.registry))
 
 
 if __name__ == "__main__":

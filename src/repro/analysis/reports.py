@@ -194,59 +194,3 @@ def render_speedup_table(events) -> str:
             f"speedup x{speedup:.2f}"
         )
     return text
-
-
-def render_runtime_metrics(metrics) -> str:
-    """Render a :class:`~repro.runtime.events.MetricsAggregator` roll-up.
-
-    One row per policy observed on the event bus: queries completed,
-    pages paid for, new records, realized harvest rate, and the
-    abort/reject/fail/retry/checkpoint counters — followed by each
-    policy's per-query cost histogram (pages per completed query).
-    """
-    summary = metrics.summary()
-    rows = []
-    for policy, stats in summary["policies"].items():
-        rows.append(
-            [
-                policy,
-                stats["queries"],
-                stats["pages"],
-                stats["new_records"],
-                round(stats["harvest_rate"], 2),
-                stats["aborted"],
-                stats["rejected"],
-                stats["failed"],
-                stats["retries"],
-                stats["checkpoints"],
-            ]
-        )
-    text = render_table(
-        [
-            "policy",
-            "queries",
-            "pages",
-            "new",
-            "new/page",
-            "aborted",
-            "rejected",
-            "failed",
-            "retries",
-            "ckpts",
-        ],
-        rows,
-        title="Event-bus crawl metrics",
-    )
-    parts = [text]
-    for policy, histogram in sorted(
-        metrics.histograms.items(), key=lambda item: item[0] or ""
-    ):
-        buckets = " ".join(
-            f"{label}:{count}"
-            for label, count in histogram.labelled_buckets()
-            if count
-        )
-        parts.append(
-            f"pages/query [{policy or '?'}]: mean {histogram.mean:.2f}  {buckets}"
-        )
-    return "\n".join(parts)

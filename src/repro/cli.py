@@ -602,10 +602,9 @@ def _attach_telemetry(args, out, bus, truth_size=None):
     every = getattr(args, "progress_every", 0) or 0
     reporter = bus.attach(
         ProgressReporter(
+            telemetry,
             every=every,
             stream=out if every else None,
-            telemetry=telemetry,
-            truth_size=truth_size,
             writer=writer,
         )
     )
@@ -780,10 +779,10 @@ def _remote_crawl(args, out) -> int:
         if args.trace_out or args.sample_profile:
             from repro.obs import CrawlTraceContext
 
-            # The context mirrors TraceSink's span-id assignment so the
-            # client can name each fetch's span id before the request
-            # goes on the wire (X-Repro-Trace propagation) and so
-            # profiler samples carry the active span label.
+            # The context is the same span-id cursor TraceSink names
+            # its spans with, so the client can name each fetch's span
+            # id before the request goes on the wire (X-Repro-Trace
+            # propagation) and profiler samples carry the active span.
             trace_context = bus.attach(
                 CrawlTraceContext(trace_id=f"{args.policy}-s{args.seed}")
             )
@@ -890,9 +889,8 @@ def _command_crawl(args, out) -> int:
 def _durable_crawl(args, out) -> int:
     import random
 
-    from repro.analysis.reports import render_runtime_metrics
     from repro.runtime.crawler import RuntimeCrawler
-    from repro.runtime.events import EventBus, MetricsAggregator
+    from repro.runtime.events import EventBus
 
     if args.policy == "practical":
         out.write("--checkpoint-dir does not support the practical bundle\n")
@@ -908,12 +906,9 @@ def _durable_crawl(args, out) -> int:
     }
     table, server, selector = _build_from_setup(setup)
     bus = EventBus()
-    metrics = bus.attach(MetricsAggregator())
-    telemetry = writer = reporter = None
-    if _telemetry_requested(args):
-        telemetry, writer, reporter = _attach_telemetry(
-            args, out, bus, truth_size=len(table)
-        )
+    telemetry, writer, reporter = _attach_telemetry(
+        args, out, bus, truth_size=len(table)
+    )
     tracer = _attach_trace(args, bus)
     engine = CrawlerEngine(server, selector, seed=args.seed, bus=bus)
     runtime = RuntimeCrawler(
@@ -945,20 +940,15 @@ def _durable_crawl(args, out) -> int:
     if result.stopped_by == "suspended":
         out.write(f"suspended; continue with: repro resume {args.checkpoint_dir}\n")
     _report_trace(out, tracer)
-    out.write(render_runtime_metrics(metrics))
-    out.write("\n")
-    _report_telemetry(
-        args, out, telemetry, writer, reporter, server=server,
-        selector=selector,
-    )
+    # The runtime already sampled the server and selector at stop.
+    _report_telemetry(args, out, telemetry, writer, reporter)
     return 0
 
 
 def _command_resume(args, out) -> int:
-    from repro.analysis.reports import render_runtime_metrics
     from repro.runtime.checkpoint import CrawlCheckpoint
     from repro.runtime.crawler import CHECKPOINT_FILE, RuntimeCrawler
-    from repro.runtime.events import EventBus, MetricsAggregator
+    from repro.runtime.events import EventBus
     from pathlib import Path
 
     directory = Path(args.checkpoint_dir)
@@ -971,12 +961,9 @@ def _command_resume(args, out) -> int:
         return 2
     table, server, selector = _build_from_setup(checkpoint.setup)
     bus = EventBus()
-    metrics = bus.attach(MetricsAggregator())
-    telemetry = writer = reporter = None
-    if _telemetry_requested(args):
-        telemetry, writer, reporter = _attach_telemetry(
-            args, out, bus, truth_size=len(table)
-        )
+    telemetry, writer, reporter = _attach_telemetry(
+        args, out, bus, truth_size=len(table)
+    )
     tracer = _attach_trace(args, bus, fresh=False)
     runtime = RuntimeCrawler.resume(
         directory, server, selector, bus=bus, telemetry=telemetry,
@@ -992,12 +979,8 @@ def _command_resume(args, out) -> int:
     if result.stopped_by == "suspended":
         out.write(f"suspended; continue with: repro resume {args.checkpoint_dir}\n")
     _report_trace(out, tracer)
-    out.write(render_runtime_metrics(metrics))
-    out.write("\n")
-    _report_telemetry(
-        args, out, telemetry, writer, reporter, server=server,
-        selector=selector,
-    )
+    # The runtime already sampled the server and selector at stop.
+    _report_telemetry(args, out, telemetry, writer, reporter)
     return 0
 
 

@@ -8,12 +8,11 @@ completed steps, straight off the event bus::
     [greedy-link] step 400 | records 3,120 (62.4%) | rounds 5,017 | \
 new/page 0.62 (rolling 0.31) | aborted 12 | retries 3 | 14.2s
 
-Coverage appears when the true source size is known (controlled
-experiments report it; a production crawl would substitute an
-estimate).  The rolling harvest rate comes from the attached
-:class:`~repro.metrics.telemetry.TelemetrySink` when one is shared —
-the reporter never computes crawl state of its own beyond simple
-tallies.
+Every figure on the line is read from the
+:class:`~repro.metrics.telemetry.TelemetrySink` the reporter is built
+on: coverage (when the sink knows the true source size), the rolling
+harvest rate, abort/retry counters, step-latency percentiles and the
+cumulative elapsed time.  The reporter keeps no tallies of its own.
 
 When a :class:`~repro.metrics.exporters.JsonlMetricsWriter` is
 attached, every heartbeat also appends a registry snapshot line, which
@@ -23,9 +22,7 @@ post-mortem dump.
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from typing import Callable, Optional, TextIO
+from typing import Optional, TextIO
 
 from repro.metrics.exporters import JsonlMetricsWriter
 from repro.metrics.quantiles import percentiles
@@ -36,43 +33,40 @@ from repro.runtime.events import CrawlEvent, CrawlStopped, EventSink, RecordsHar
 class ProgressReporter(EventSink):
     """Emit a heartbeat line every ``every`` completed crawl steps.
 
+    Attach it to the bus *after* ``telemetry``, so each line reads the
+    registry as of the step it reports.
+
     Parameters
     ----------
+    telemetry:
+        The telemetry sink the heartbeat reads (truth size, clock, step
+        intervals, registry) and snapshots to ``writer``.
     every:
         Steps between heartbeats (``0`` disables periodic lines; the
         final ``CrawlStopped`` line is still written).
     stream:
         Where heartbeat lines go (``None`` silences text output —
         useful when only the JSONL stream is wanted).
-    telemetry:
-        Optional shared telemetry sink; enriches lines with rolling
-        harvest rate and abort/retry counters, and is the registry
-        snapshotted to ``writer``.
-    truth_size:
-        True source size for live coverage percentages.
     writer:
         Optional JSONL writer; a registry snapshot is appended per
-        heartbeat and at crawl stop (requires ``telemetry``).
+        heartbeat and at crawl stop.
     """
 
     def __init__(
         self,
+        telemetry: TelemetrySink,
         every: int = 100,
         stream: Optional[TextIO] = None,
-        telemetry: Optional[TelemetrySink] = None,
-        truth_size: Optional[int] = None,
         writer: Optional[JsonlMetricsWriter] = None,
-        clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         if every < 0:
             raise ValueError(f"every must be >= 0, got {every}")
+        self.telemetry = telemetry
         self.every = every
         self.stream = stream
-        self.telemetry = telemetry
-        self.truth_size = truth_size
         self.writer = writer
-        self._clock = clock
-        self._started_at = clock()
+        self._clock = telemetry.clock
+        self._started_at = self._clock()
         #: Wall seconds accumulated by prior runs of a resumed crawl.
         #: Seeded lazily from the registry's ``crawl_elapsed_seconds``
         #: gauge (restored from the checkpoint *after* this sink is
@@ -80,15 +74,6 @@ class ProgressReporter(EventSink):
         #: time instead of restarting from zero.
         self._elapsed_offset: Optional[float] = None
         self.beats = 0
-        #: Wall seconds between consecutive completed steps, for the
-        #: heartbeat's step-latency percentiles.  Bounded: an
-        #: unbounded list would grow for the crawl's whole life, and a
-        #: rolling window is the more honest signal anyway ("how slow
-        #: are steps *lately*", not since launch).  Shares the
-        #: nearest-rank estimator with the loadtest report
-        #: (:mod:`repro.metrics.quantiles`).
-        self._step_times: deque = deque(maxlen=1024)
-        self._last_step_at: Optional[float] = None
         self._last_step: Optional[int] = None
         self._last_policy: Optional[str] = None
         self._last_snapshot_step: Optional[int] = None
@@ -96,33 +81,25 @@ class ProgressReporter(EventSink):
 
     # ------------------------------------------------------------------
     def elapsed(self) -> float:
-        """Cumulative crawl wall seconds, including pre-resume runs."""
+        """Cumulative crawl wall seconds, including pre-resume runs.
+
+        Also published as ``crawl_elapsed_seconds``.
+        """
+        gauge = self.telemetry.elapsed_gauge
         if self._elapsed_offset is None:
-            self._elapsed_offset = 0.0
-            if self.telemetry is not None:
-                gauge = getattr(self.telemetry, "elapsed_gauge", None)
-                if gauge is not None:
-                    self._elapsed_offset = gauge.value()
+            self._elapsed_offset = gauge.value()
         elapsed = self._elapsed_offset + self._clock() - self._started_at
-        if self.telemetry is not None:
-            gauge = getattr(self.telemetry, "elapsed_gauge", None)
-            if gauge is not None:
-                gauge.set(round(elapsed, 3))
+        gauge.set(round(elapsed, 3))
         return elapsed
 
     def handle(self, event: CrawlEvent) -> None:
         if isinstance(event, RecordsHarvested):
-            now = self._clock()
-            if self._last_step_at is not None:
-                self._step_times.append(now - self._last_step_at)
-            self._last_step_at = now
             self._last_step = event.step
             self._last_policy = event.policy
-            if self.telemetry is not None:
-                # Publish per step (not per beat): a suspension
-                # checkpoint snapshots the registry before the final
-                # CrawlStopped, and must carry current elapsed time.
-                self.elapsed()
+            # Publish per step (not per beat): a suspension checkpoint
+            # snapshots the registry before the final CrawlStopped, and
+            # must carry current elapsed time.
+            self.elapsed()
             if self.every and event.step % self.every == 0:
                 self._beat(event)
         elif isinstance(event, CrawlStopped):
@@ -143,7 +120,6 @@ class ProgressReporter(EventSink):
         self.elapsed()  # publish cumulative elapsed for the checkpoint
         if (
             self.writer is not None
-            and self.telemetry is not None
             and self._last_step is not None
             and self._last_step != self._last_snapshot_step
         ):
@@ -163,15 +139,16 @@ class ProgressReporter(EventSink):
                 f"rounds {event.rounds:,}",
             ]
             parts.extend(self._telemetry_text(policy))
-            if self._step_times:
-                pcts = percentiles(self._step_times, (0.50, 0.95))
+            intervals = self.telemetry.step_intervals
+            if intervals:
+                pcts = percentiles(intervals, (0.50, 0.95))
                 parts.append(
                     f"step p50 {pcts[0.50] * 1e3:.1f}ms "
                     f"p95 {pcts[0.95] * 1e3:.1f}ms"
                 )
             parts.append(f"{self.elapsed():.1f}s")
             self.stream.write(" | ".join(parts) + "\n")
-        if self.writer is not None and self.telemetry is not None:
+        if self.writer is not None:
             self._last_snapshot_step = event.step
             self.writer.write_snapshot(
                 self.telemetry.registry, step=event.step, label=policy
@@ -188,20 +165,19 @@ class ProgressReporter(EventSink):
                 f"{event.rounds:,} rounds, {event.queries:,} queries, "
                 f"{elapsed:.1f}s\n"
             )
-        if self.writer is not None and self.telemetry is not None:
+        if self.writer is not None:
             self.writer.write_snapshot(
                 self.telemetry.registry, step=None, label=policy
             )
 
     # ------------------------------------------------------------------
     def _records_text(self, records: int) -> str:
-        if self.truth_size:
-            return f"records {records:,} ({records / self.truth_size:.1%})"
+        truth_size = self.telemetry.truth_size
+        if truth_size:
+            return f"records {records:,} ({records / truth_size:.1%})"
         return f"records {records:,}"
 
     def _telemetry_text(self, policy: str) -> list:
-        if self.telemetry is None:
-            return []
         sink = self.telemetry
         parts = [
             f"new/page {sink.harvest_rate.value(policy=policy):.2f} "

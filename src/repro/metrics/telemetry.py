@@ -13,8 +13,9 @@ everything the paper measures after the fact:
   ``rolling_window`` queries (the live signal for the paper's
   "low marginal benefit" regime), and live coverage when the true
   source size is known (controlled experiments report it);
-- **latency** — wall-clock seconds per crawl step and a pages-per-query
-  histogram.
+- **latency** — wall-clock seconds per crawl step (plus a bounded window
+  of recent step intervals for the heartbeat's percentiles) and a
+  pages-per-query histogram.
 
 Metric updates are observational: the sink never touches crawl state
 or RNG streams, so an instrumented crawl remains bit-identical to a
@@ -27,12 +28,15 @@ The server's result-ordering cache is not on the bus (cache activity
 is server-side, not wire traffic), so :meth:`TelemetrySink.sample_server`
 pulls those gauges — cache hits/misses/hit ratio and the round counter
 — from a server's communication log; the runtime calls it at
-checkpoints, heartbeats, and crawl stop.
+checkpoints, heartbeats, and crawl stop.  Frontier rescoring lives in
+the selector, so :meth:`TelemetrySink.sample_selector` likewise folds
+its counters in at full checkpoints and crawl end.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from collections import deque
 from typing import Callable, Deque, Optional, Tuple
 
@@ -71,6 +75,10 @@ STEP_SECONDS_BUCKETS = (
 )
 
 
+#: Trailing step intervals kept for the heartbeat's p50/p95.
+STEP_WINDOW = 1024
+
+
 def _policy_label(event: CrawlEvent) -> str:
     return event.policy or "?"
 
@@ -93,7 +101,8 @@ class TelemetrySink(EventSink):
         Record per-step wall-clock seconds (on by default; disable for
         byte-stable registry snapshots across machines).
     clock:
-        Injectable monotonic clock, for tests.
+        Injectable monotonic clock, for tests; the heartbeat reads
+        elapsed time from it too.
     """
 
     def __init__(
@@ -110,8 +119,13 @@ class TelemetrySink(EventSink):
         self.truth_size = truth_size
         self.rolling_window = rolling_window
         self.track_wall_time = track_wall_time
-        self._clock = clock
+        self.clock = clock
         self._last_step_at: Optional[float] = None
+        #: Wall seconds between consecutive completed steps.  Bounded:
+        #: the heartbeat asks "how slow are steps *lately*".
+        self.step_intervals: Deque[float] = deque(maxlen=STEP_WINDOW)
+        #: Frontier counters already folded in, per sampled selector.
+        self._frontier_marks = weakref.WeakKeyDictionary()
         #: (new_records, pages) of the trailing completed queries, with
         #: running totals so each step avoids re-summing the window.
         self._window: Deque[Tuple[int, int]] = deque(maxlen=rolling_window)
@@ -332,9 +346,11 @@ class TelemetrySink(EventSink):
                 key, self._window_new / self._window_pages
             )
         if self.track_wall_time:
-            now = self._clock()
+            now = self.clock()
             if self._last_step_at is not None:
-                self.step_seconds.observe_key(key, now - self._last_step_at)
+                interval = now - self._last_step_at
+                self.step_seconds.observe_key(key, interval)
+                self.step_intervals.append(interval)
             self._last_step_at = now
 
     # ------------------------------------------------------------------
@@ -362,16 +378,22 @@ class TelemetrySink(EventSink):
         ``selector`` is anything exposing
         :meth:`~repro.policies.base.QuerySelector.frontier_stats`; the
         call is a no-op for selectors without an incremental frontier.
-        The stats are lifetime totals for one selector, and a selector
-        serves exactly one crawl, so folding them in once at crawl end
-        (next to :meth:`sample_server`) keeps the counters cumulative
-        and mergeable across grid workers.
+        The stats are lifetime totals for one selector, so each sample
+        adds only what changed since this sink last sampled that
+        selector.  That lets the durable runtime sample before every
+        full snapshot (so a resumed registry already holds the
+        suspended run's share) and the caller sample again at crawl
+        end, while many selectors folded into one sink still sum.
         """
         stats_fn = getattr(selector, "frontier_stats", None)
         stats = stats_fn() if callable(stats_fn) else None
         if not stats:
             return
         key = (policy or getattr(selector, "name", None) or "?",)
-        self.frontier_rescored.inc_key(key, stats.get("rescored_total", 0))
-        self.frontier_dirty.inc_key(key, stats.get("dirty_total", 0))
+        rescored = stats.get("rescored_total", 0)
+        dirty = stats.get("dirty_total", 0)
+        seen_rescored, seen_dirty = self._frontier_marks.get(selector, (0, 0))
+        self._frontier_marks[selector] = (rescored, dirty)
+        self.frontier_rescored.inc_key(key, rescored - seen_rescored)
+        self.frontier_dirty.inc_key(key, dirty - seen_dirty)
         self.frontier_pending.set_key((), stats.get("pending", 0))

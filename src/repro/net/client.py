@@ -67,10 +67,20 @@ from repro.net.protocol import (
     encode_query_params,
 )
 from repro.net.server import LATENCY_BUCKETS
+from repro.obs.context import HEADER_NAME
 from repro.server.flaky import PermanentServerFailure, TransientServerError
 from repro.server.network import CommunicationLog
 from repro.server.pagination import ResultPage
 from repro.server.service import parse_page
+
+
+def trace_header(trace_id: str, parent: str, attempt: int) -> Tuple[str, str]:
+    """The ``X-Repro-Trace`` pair for one attempt at a traced fetch.
+
+    The one encoder of the ``trace_id;parent;attempt`` value; its
+    decoder is :func:`repro.obs.server_trace.parse_trace_header`.
+    """
+    return (HEADER_NAME, f"{trace_id};{parent};{attempt}")
 
 
 class RemoteSourceError(ReproError):
@@ -358,10 +368,7 @@ class RemoteWebDatabase:
                 # Rebuilt per attempt: the attempt number keeps retried
                 # requests distinct server-side (roots …/srv, …/srv1).
                 headers_out.append(
-                    (
-                        "X-Repro-Trace",
-                        f"{self._trace_id};{trace_parent};{attempt}",
-                    )
+                    trace_header(self._trace_id, trace_parent, attempt)
                 )
             started = time.perf_counter()
             try:
@@ -554,7 +561,7 @@ class RemoteWebDatabase:
         # submit()), so the span id is resolved now and captured.
         trace_parent = None
         if self._trace_context is not None:
-            trace_parent = self._trace_context.fetch_parent(page_number)
+            trace_parent = self._trace_context.fetch_id(page_number)
         return asyncio.run_coroutine_threadsafe(
             self._fetch_page(query, page_number, trace_parent), self._loop
         )

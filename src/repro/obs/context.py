@@ -1,13 +1,12 @@
 """CrawlTraceContext — the client half of cross-lane trace propagation.
 
-:class:`~repro.trace.sink.TraceSink` derives every span id from the
-step number and in-step event order alone.  This sink subscribes to
-the *same* event bus and mirrors exactly the id assignment the trace
-sink performs (``StepStarted`` → step ``s{N}``, ``QueryIssued`` →
-``s{N}/q{i}``), so at any moment it can name the span id a page fetch
-*will* get — ``s{N}/q{i}/p{page}`` — before the request goes on the
-wire.  :class:`~repro.net.client.RemoteWebDatabase` reads that id when
-it schedules a fetch and sends it in the ``X-Repro-Trace`` header; the
+The context is a :class:`~repro.trace.cursor.SpanCursor` — the same
+span-id allocator :class:`~repro.trace.sink.TraceSink` names its spans
+with — plus the crawl's trace id.  Attached to the crawl's event bus,
+it can name the span id a page fetch *will* get
+(``s<N>/q<i>/p<page>``) before the request goes on the wire.
+:class:`~repro.net.client.RemoteWebDatabase` reads that id when it
+schedules a fetch and sends it in the ``X-Repro-Trace`` header; the
 server opens child spans under it, and ``repro trace stitch`` later
 joins the two files on those ids.
 
@@ -25,20 +24,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.runtime.events import (
-    CrawlEvent,
-    EventSink,
-    QueryIssued,
-    StepStarted,
-)
+from repro.trace.cursor import SpanCursor
 
-#: Separator between the trace id, parent span id, and attempt number
-#: in the ``X-Repro-Trace`` header value.
+#: The request header carrying ``{trace_id};{parent span};{attempt}``.
 HEADER_NAME = "X-Repro-Trace"
 
 
-class CrawlTraceContext(EventSink):
-    """Track the active span id off the event bus (see module docs).
+class CrawlTraceContext(SpanCursor):
+    """A span cursor that also carries the crawl's trace id.
 
     Parameters
     ----------
@@ -49,60 +42,16 @@ class CrawlTraceContext(EventSink):
         server-side trace stops being byte-comparable across runs.
     """
 
-    #: Phase events switch on engine instrumentation; the context only
-    #: consumes StepStarted/QueryIssued, but declaring the interest
-    #: keeps it self-sufficient when attached without a TraceSink.
-    wants_phases = True
-
     def __init__(self, trace_id: str = "crawl") -> None:
         if ";" in trace_id or not trace_id:
             raise ValueError(
                 f"trace_id must be non-empty and ';'-free, got {trace_id!r}"
             )
+        super().__init__()
         self.trace_id = trace_id
-        self._step: Optional[int] = None
-        self._qid: Optional[str] = None
-        self._q = 0
-
-    # ------------------------------------------------------------------
-    def handle(self, event: CrawlEvent) -> None:
-        kind = type(event)
-        if kind is QueryIssued:
-            if self._step is None:
-                return
-            # Mirrors TraceSink exactly: the i-th query of step N is
-            # span s{N}/q{i}.  QueryIssued is emitted by the prober
-            # *before* the source's submit() runs, so the client's
-            # fetch scheduling always sees the current query's id.
-            self._qid = f"s{self._step}/q{self._q}"
-            self._q += 1
-        elif kind is StepStarted:
-            self._step = event.step
-            self._q = 0
-            self._qid = None
-
-    # ------------------------------------------------------------------
-    def fetch_parent(self, page_number: int) -> Optional[str]:
-        """The span id the fetch of ``page_number`` will be assigned.
-
-        ``None`` outside an active query (descriptor/truth requests
-        carry no trace context).
-        """
-        if self._qid is None:
-            return None
-        return f"{self._qid}/p{page_number}"
 
     def current_label(self) -> Optional[str]:
         """Active span label for profiler samples (query, else step)."""
-        if self._qid is not None:
-            return self._qid
-        if self._step is not None:
-            return f"s{self._step}"
-        return None
-
-    def wire_header(self, page_number: int, attempt: int = 0):
-        """``(name, value)`` header pair for a page fetch, or ``None``."""
-        parent = self.fetch_parent(page_number)
-        if parent is None:
-            return None
-        return (HEADER_NAME, f"{self.trace_id};{parent};{attempt}")
+        if self.qid is not None:
+            return self.qid
+        return self.sid or None

@@ -120,8 +120,9 @@ class RuntimeCrawler:
     telemetry:
         Optional :class:`~repro.metrics.telemetry.TelemetrySink`.  The
         runtime attaches it to the engine's bus (if not already
-        attached), samples server-side gauges at every full snapshot
-        and at crawl stop, and embeds a registry snapshot inside
+        attached), samples server-side gauges and the selector's
+        frontier counters at every full snapshot and at crawl stop,
+        and embeds a registry snapshot inside
         ``checkpoint.json`` so a resumed crawl reports continuous
         totals.
     trace:
@@ -288,6 +289,7 @@ class RuntimeCrawler:
         result = engine.result(stopped_by)
         if self.telemetry is not None:
             self.telemetry.sample_server(engine.server)
+            self.telemetry.sample_selector(engine.selector)
         if engine.bus.has_sinks:
             engine.bus.emit(
                 CrawlStopped(
@@ -301,14 +303,20 @@ class RuntimeCrawler:
         return result
 
     def _write_checkpoint(self) -> None:
-        """Full-state snapshot: baseline, suspension, ``snapshot_every``."""
+        """Full-state snapshot: baseline, suspension, ``snapshot_every``.
+
+        ``CheckpointWritten`` is delivered just before the file is
+        saved, and the server and selector are sampled after the state
+        capture (serializing the selector drains its frontier's dirty
+        set), so the embedded registry snapshot already counts this
+        checkpoint and all frontier work up to it: a resumed registry
+        continues from the whole crawl so far.
+        """
         assert self.checkpoint_dir is not None
         if self._journal is not None:
             self._journal.flush()
-        metrics = None
-        if self.telemetry is not None:
-            self.telemetry.sample_server(self.engine.server)
-            metrics = self.telemetry.registry.state_dict()
+        path = self.checkpoint_dir / CHECKPOINT_FILE
+        self._emit_checkpoint_written(self.engine.steps, path, snapshot=True)
         trace_state = (
             self.trace.state_dict() if self.trace is not None else None
         )
@@ -318,12 +326,13 @@ class RuntimeCrawler:
             checkpoint_every=self.checkpoint_every,
             snapshot_every=self.snapshot_every,
             setup=self.setup,
-            metrics=metrics,
             trace=trace_state,
         )
-        path = self.checkpoint_dir / CHECKPOINT_FILE
+        if self.telemetry is not None:
+            self.telemetry.sample_server(self.engine.server)
+            self.telemetry.sample_selector(self.engine.selector)
+            checkpoint.metrics = self.telemetry.registry.state_dict()
         checkpoint.save(path)
-        self._emit_checkpoint_written(checkpoint.step, path, snapshot=True)
 
     def _commit_progress(self) -> None:
         """Checkpoint marker: flush the journal, stamp the horizon.

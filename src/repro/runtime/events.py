@@ -2,15 +2,17 @@
 
 The engine, the prober, the retrying transport, the schedulers, and the
 durable runtime all emit small typed events onto an :class:`EventBus`;
-sinks subscribe to consume them.  Three sinks ship with the runtime:
+sinks subscribe to consume them.  Two sinks ship with the runtime:
 
 - :class:`RingBufferSink` — the last N events in memory, for
   interactive inspection and tests;
 - :class:`JsonlEventSink` — an append-only JSONL writer, the
-  observability log a production deployment would tail;
-- :class:`MetricsAggregator` — per-policy counters plus
-  latency-in-rounds histograms, consumable by
-  :func:`repro.analysis.reports.render_runtime_metrics`.
+  observability log a production deployment would tail.
+
+Crawl counters live in one place,
+:class:`repro.metrics.telemetry.TelemetrySink`'s registry, and span ids
+in another, :class:`repro.trace.cursor.SpanCursor`; every other
+consumer reads from those.
 
 Events are observational: emitting them never touches crawl state or
 RNG streams, so an instrumented crawl is bit-identical to a bare one.
@@ -21,11 +23,10 @@ sites, so a bus nobody listens to costs one attribute check per event.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Union
+from typing import Deque, List, Optional, Union
 
 from repro.core.errors import ReproError
 from repro.core.query import AnyQuery
@@ -179,11 +180,13 @@ class RecordsHarvested(CrawlEvent):
 
 @dataclass
 class CheckpointWritten(CrawlEvent):
-    """A durable checkpoint reached disk.
+    """A durable checkpoint was written.
 
     ``snapshot`` distinguishes a full-state snapshot
     (``checkpoint.json``) from a light checkpoint marker (journal
-    group-commit + ``progress.json``).
+    group-commit + ``progress.json``).  A marker's event follows its
+    write; a snapshot's event comes just before ``checkpoint.json`` is
+    saved, so the registry snapshot embedded in it counts itself.
     """
 
     kind = "checkpoint-written"
@@ -440,117 +443,6 @@ class JsonlEventSink(EventSink):
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.close()
-
-
-class RoundsHistogram:
-    """A small fixed-bucket histogram of per-query cost in rounds."""
-
-    #: Upper bounds (inclusive) of each bucket; the last bucket is open.
-    DEFAULT_BOUNDS = (1, 2, 3, 5, 8, 13, 21, 34, 55)
-
-    def __init__(self, bounds=DEFAULT_BOUNDS) -> None:
-        self.bounds = tuple(bounds)
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0
-        self.sum_rounds = 0
-
-    def observe(self, rounds: int) -> None:
-        # First bucket whose inclusive upper bound admits `rounds`;
-        # everything past the last bound lands in the open tail bucket.
-        index = bisect_right(self.bounds, rounds - 1)
-        self.counts[index] += 1
-        self.total += 1
-        self.sum_rounds += rounds
-
-    @property
-    def mean(self) -> float:
-        return self.sum_rounds / self.total if self.total else 0.0
-
-    def labelled_buckets(self) -> List[tuple]:
-        """``[(label, count), ...]`` for rendering."""
-        labels = []
-        lower = 1
-        for bound in self.bounds:
-            labels.append(f"{lower}" if lower == bound else f"{lower}-{bound}")
-            lower = bound + 1
-        labels.append(f">{self.bounds[-1]}")
-        return list(zip(labels, self.counts))
-
-    def as_dict(self) -> Dict[str, int]:
-        return {label: count for label, count in self.labelled_buckets()}
-
-
-class MetricsAggregator(EventSink):
-    """Per-policy counters plus latency-in-rounds histograms.
-
-    ``counters`` is keyed ``(policy, event_kind)``; the special policy
-    key ``None`` appears when the emitter did not stamp one.  The
-    histogram observes each completed query's page cost from
-    :class:`RecordsHarvested` events.
-    """
-
-    def __init__(self) -> None:
-        self.counters: Dict[tuple, int] = {}
-        self.histograms: Dict[Optional[str], RoundsHistogram] = {}
-        self.new_records: Dict[Optional[str], int] = {}
-        self.pages: Dict[Optional[str], int] = {}
-
-    def handle(self, event: CrawlEvent) -> None:
-        key = (event.policy, event.kind)
-        self.counters[key] = self.counters.get(key, 0) + 1
-        if isinstance(event, RecordsHarvested):
-            histogram = self.histograms.get(event.policy)
-            if histogram is None:
-                histogram = self.histograms[event.policy] = RoundsHistogram()
-            histogram.observe(event.pages_fetched)
-            self.new_records[event.policy] = (
-                self.new_records.get(event.policy, 0) + event.new_records
-            )
-            self.pages[event.policy] = (
-                self.pages.get(event.policy, 0) + event.pages_fetched
-            )
-
-    # ------------------------------------------------------------------
-    def count(self, kind: str, policy: Optional[str] = None) -> int:
-        """Total events of ``kind`` (for ``policy``, or summed over all)."""
-        if policy is not None:
-            return self.counters.get((policy, kind), 0)
-        return sum(
-            count for (_, k), count in self.counters.items() if k == kind
-        )
-
-    def policies(self) -> List[Optional[str]]:
-        seen = {policy for (policy, _) in self.counters}
-        return sorted(seen, key=lambda p: (p is None, p or ""))
-
-    def harvest_rate(self, policy: Optional[str]) -> float:
-        pages = self.pages.get(policy, 0)
-        return self.new_records.get(policy, 0) / pages if pages else 0.0
-
-    def summary(self) -> dict:
-        """JSON-safe roll-up of everything observed."""
-        return {
-            "policies": {
-                (policy or "?"): {
-                    "queries": self.count(RecordsHarvested.kind, policy),
-                    "pages": self.pages.get(policy, 0),
-                    "new_records": self.new_records.get(policy, 0),
-                    "harvest_rate": round(self.harvest_rate(policy), 4),
-                    "aborted": self.count(QueryAborted.kind, policy),
-                    "rejected": self.count(QueryRejected.kind, policy),
-                    "failed": self.count(QueryFailed.kind, policy),
-                    "retries": self.count(RetryAttempted.kind, policy),
-                    "checkpoints": self.count(CheckpointWritten.kind, policy),
-                    "rounds_histogram": (
-                        self.histograms[policy].as_dict()
-                        if policy in self.histograms
-                        else {}
-                    ),
-                }
-                for policy in self.policies()
-            },
-            "events_total": sum(self.counters.values()),
-        }
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ ride in a separate, optional ``"t"`` field that canonical
 (byte-comparable) traces omit.
 
 See :class:`~repro.trace.sink.TraceSink` for the event-bus adapter,
+:class:`~repro.trace.cursor.SpanCursor` for the one span-id allocator,
 :mod:`repro.trace.export` for Chrome/Perfetto output, and
 :mod:`repro.trace.analyze` for summaries, critical paths, and folded
 stacks.
@@ -36,6 +37,7 @@ from repro.trace.analyze import (
     render_summary,
     summarize,
 )
+from repro.trace.cursor import SpanCursor
 from repro.trace.export import to_chrome, write_chrome
 from repro.trace.sink import TraceSink, write_trace
 from repro.trace.spans import (
@@ -46,6 +48,7 @@ from repro.trace.spans import (
 )
 
 __all__ = [
+    "SpanCursor",
     "TRACE_SCHEMA",
     "TraceError",
     "TraceSink",

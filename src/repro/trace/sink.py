@@ -21,7 +21,9 @@ tree, flushed to span JSONL as each step completes:
 Determinism: span ids and ``seq`` numbers derive from the step number
 and the in-step event order — both functions of the crawl alone — so a
 trace is byte-identical across sequential/parallel execution and
-across a crash/resume split.  Wall/CPU durations are collected (when
+across a crash/resume split.  The ``step``/``submit``/``fetch`` ids
+come from a :class:`~repro.trace.cursor.SpanCursor`, the allocator the
+remote client's trace context is built on.  Wall/CPU durations are collected (when
 ``include_timings``) into the non-canonical ``"t"`` field only.
 
 Durability: every completed step is flushed to disk before the runtime
@@ -54,6 +56,7 @@ from repro.runtime.events import (
     RetryAttempted,
     StepStarted,
 )
+from repro.trace.cursor import SpanCursor
 from repro.trace.spans import TRACE_SCHEMA, TraceError
 
 PathLike = Union[str, Path]
@@ -172,6 +175,8 @@ class TraceSink(EventSink):
         self._last_rounds = 0
         self._policy_key: Optional[str] = None
         self._policy_frag = ""
+        #: Step/submit/fetch span ids (cleared with each finished step).
+        self._ids = SpanCursor()
         self._reset_step()
         if self.path is not None and fresh:
             self._open(mode="w")
@@ -272,8 +277,7 @@ class TraceSink(EventSink):
     # ``json.dumps(span, separators=(",", ":"))``.
     # ------------------------------------------------------------------
     def _reset_step(self) -> None:
-        self._step: Optional[int] = None
-        self._sid = ""
+        self._ids.clear()
         self._policy: Optional[str] = None
         self._buffer: List[str] = []
         self._append = self._buffer.append
@@ -281,8 +285,6 @@ class TraceSink(EventSink):
         self._retries: List[Tuple[int, int, int]] = []
         self._root_seq = 0
         self._sel = 0
-        self._q = 0
-        self._qid: Optional[str] = None
         self._records = 0
         self._matches: Optional[int] = None
         self._wall0 = 0.0
@@ -293,7 +295,7 @@ class TraceSink(EventSink):
         self._seq = seq + 1
         self._append(
             f'{{"id":"{span_id}","parent":"{parent}","name":"{name}",'
-            f'"step":{self._step},"seq":{seq},"attrs":{attrs}}}'
+            f'"step":{self._ids.step},"seq":{seq},"attrs":{attrs}}}'
         )
 
     def _emit_timed(
@@ -310,21 +312,20 @@ class TraceSink(EventSink):
         if self.include_timings:
             self._append(
                 f'{{"id":"{span_id}","parent":"{parent}","name":"{name}",'
-                f'"step":{self._step},"seq":{seq},"attrs":{attrs},'
+                f'"step":{self._ids.step},"seq":{seq},"attrs":{attrs},'
                 f'"t":{{"ws":{int(wall * 1e9)}e-9,"cs":{int(cpu * 1e9)}e-9}}}}'
             )
         else:
             self._append(
                 f'{{"id":"{span_id}","parent":"{parent}","name":"{name}",'
-                f'"step":{self._step},"seq":{seq},"attrs":{attrs}}}'
+                f'"step":{self._ids.step},"seq":{seq},"attrs":{attrs}}}'
             )
 
     def _on_step_started(self, event: StepStarted) -> None:
-        if self._step is not None:  # abandoned step: reclaim its seq ids
+        if self._ids.step is not None:  # abandoned step: reclaim its seq ids
             self._seq = self._root_seq
             self._reset_step()
-        self._step = event.step
-        self._sid = f"s{event.step}"
+        self._ids.open_step(event.step)
         if self.include_timings:
             self._wall0 = time.perf_counter()
             self._cpu0 = time.process_time()
@@ -348,28 +349,29 @@ class TraceSink(EventSink):
         self._retries = remaining
 
     def _on_aborted(self, event: QueryAborted) -> None:
-        if self._qid is None:
+        last = self._ids.fetch_id(event.pages_fetched)
+        if last is None:
             return
-        last = f"{self._qid}/p{event.pages_fetched}"
         self._emit(
             f"{last}/abort", last, "abort", f'{{"saved":{event.pages_saved}}}'
         )
 
     def _on_failed(self, event: QueryFailed) -> None:
-        if self._qid is None:
+        qid = self._ids.qid
+        if qid is None:
             return
         # Retries for the page that never arrived nest under submit.
         for _page, attempt, delay_rounds in self._retries:
             self._emit(
-                f"{self._qid}/r{attempt}",
-                self._qid,
+                f"{qid}/r{attempt}",
+                qid,
                 "retry",
                 f'{{"delay_rounds":{delay_rounds}}}',
             )
         self._retries = []
         self._emit(
-            f"{self._qid}/fail",
-            self._qid,
+            f"{qid}/fail",
+            qid,
             "fail",
             f'{{"pages":{event.pages_fetched}}}',
         )
@@ -380,8 +382,9 @@ class TraceSink(EventSink):
         # the sink's per-event cost and the overhead benchmark prices
         # it against the whole crawl.
         kind = type(event)
+        ids = self._ids
         if kind is PhaseCompleted:
-            if self._step is None:
+            if ids.step is None:
                 return
             phase = event.phase
             detail = event.detail
@@ -397,7 +400,7 @@ class TraceSink(EventSink):
                     )
                 )
                 return
-            sid = self._sid
+            sid = ids.sid
             if phase == "select":
                 parent_id = f"{sid}/sel{self._sel}"
                 self._sel += 1
@@ -415,14 +418,14 @@ class TraceSink(EventSink):
             if self.include_timings:
                 self._append(
                     f'{{"id":"{parent_id}","parent":"{sid}",'
-                    f'"name":"{phase}","step":{self._step},"seq":{seq},'
+                    f'"name":"{phase}","step":{ids.step},"seq":{seq},'
                     f'"attrs":{attrs},"t":{{"ws":{int(event.seconds * 1e9)}e-9,'
                     f'"cs":{int(event.cpu_seconds * 1e9)}e-9}}}}'
                 )
             else:
                 self._append(
                     f'{{"id":"{parent_id}","parent":"{sid}",'
-                    f'"name":"{phase}","step":{self._step},"seq":{seq},'
+                    f'"name":"{phase}","step":{ids.step},"seq":{seq},'
                     f'"attrs":{attrs}}}'
                 )
             if self._pending and (phase == "select" or phase == "decompose"):
@@ -439,15 +442,14 @@ class TraceSink(EventSink):
                     )
                 self._pending = []
         elif kind is PageFetched:
-            qid = self._qid
-            if qid is None:
+            fetch_id = ids.fetch_id(event.page_number)
+            if fetch_id is None:
                 return
-            fetch_id = f"{qid}/p{event.page_number}"
             seq = self._seq
             self._seq = seq + 1
             self._append(
-                f'{{"id":"{fetch_id}","parent":"{qid}","name":"fetch",'
-                f'"step":{self._step},"seq":{seq},'
+                f'{{"id":"{fetch_id}","parent":"{ids.qid}","name":"fetch",'
+                f'"step":{ids.step},"seq":{seq},'
                 f'"attrs":{{"records":{event.records},'
                 f'"new":{event.new_records}}}}}'
             )
@@ -457,23 +459,21 @@ class TraceSink(EventSink):
         elif kind is StepStarted:
             self._on_step_started(event)
         elif kind is QueryIssued:
-            if self._step is None:
+            qid = ids.open_query()
+            if qid is None:
                 return
-            qid = f"{self._sid}/q{self._q}"
-            self._q += 1
-            self._qid = qid
             self._retries = []
             seq = self._seq
             self._seq = seq + 1
             self._append(
-                f'{{"id":"{qid}","parent":"{self._sid}","name":"submit",'
-                f'"step":{self._step},"seq":{seq},'
+                f'{{"id":"{qid}","parent":"{ids.sid}","name":"submit",'
+                f'"step":{ids.step},"seq":{seq},'
                 f'"attrs":{{"query":{_json_str(str(event.query))}}}}}'
             )
         elif kind is RecordsHarvested:
             self._finalize(event)
         elif kind is RetryAttempted:
-            if self._qid is not None:
+            if ids.qid is not None:
                 self._retries.append(
                     (event.page_number, event.attempt, event.backoff_rounds)
                 )
@@ -482,8 +482,9 @@ class TraceSink(EventSink):
         elif kind is QueryFailed:
             self._on_failed(event)
         elif kind is QueryRejected:
-            if self._qid is not None:
-                self._emit(f"{self._qid}/reject", self._qid, "reject", "{}")
+            qid = ids.qid
+            if qid is not None:
+                self._emit(f"{qid}/reject", qid, "reject", "{}")
         elif kind is CheckpointWritten:
             self.flush()
         elif kind is CrawlStopped:
@@ -494,9 +495,10 @@ class TraceSink(EventSink):
     # Step finalization
     # ------------------------------------------------------------------
     def _render_root(self, attrs: str) -> str:
+        ids = self._ids
         line = (
-            f'{{"id":"{self._sid}","parent":null,"name":"step",'
-            f'"step":{self._step},"seq":{self._root_seq},"attrs":{attrs}'
+            f'{{"id":"{ids.sid}","parent":null,"name":"step",'
+            f'"step":{ids.step},"seq":{self._root_seq},"attrs":{attrs}'
         )
         if self.include_timings:
             wall = time.perf_counter() - self._wall0
@@ -517,7 +519,7 @@ class TraceSink(EventSink):
         return self._policy_frag
 
     def _finalize(self, event: RecordsHarvested) -> None:
-        if self._step is None:
+        if self._ids.step is None:
             return
         pages = event.pages_fetched
         harvest_rate = round(event.new_records / pages, 6) if pages else 0.0
@@ -544,7 +546,7 @@ class TraceSink(EventSink):
         are a deterministic artifact of the crawl's end, so they are
         written — identically by a full run and a resumed one.
         """
-        if self._step is None:
+        if self._ids.step is None:
             return
         policy = self._policy_fragment()
         self._buffer[0] = self._render_root(

@@ -90,6 +90,73 @@ class TestCheckpointContinuity:
         )
         assert final.queries_issued > queries_before
 
+    def test_suspend_resume_registry_equals_uninterrupted(
+        self, small_ebay, tmp_path
+    ):
+        """Greedy-link split by a suspension ends with the uninterrupted
+        crawl's frontier counters and crawl totals, and counts every
+        checkpoint both runs wrote (the suspension snapshot included)."""
+        seed = 11
+        seeds = sample_seed_values(
+            small_ebay, 1, random.Random(seed), min_frequency=2
+        )
+
+        def durable(directory, telemetry, stop_after_steps=None):
+            selector = GreedyLinkSelector()
+            engine = CrawlerEngine(
+                SimulatedWebDatabase(small_ebay, page_size=10),
+                selector,
+                seed=seed,
+                bus=EventBus(),
+            )
+            runtime = RuntimeCrawler(
+                engine,
+                checkpoint_dir=directory,
+                checkpoint_every=10,
+                telemetry=telemetry,
+            )
+            runtime.crawl(
+                seeds, target_coverage=0.9, stop_after_steps=stop_after_steps
+            )
+            runtime.close()
+            telemetry.sample_selector(selector)  # as the CLI does at exit
+            return runtime.checkpoints_written
+
+        straight = TelemetrySink(track_wall_time=False)
+        durable(tmp_path / "straight", straight)
+
+        first = TelemetrySink(track_wall_time=False)
+        written = durable(tmp_path / "split", first, stop_after_steps=25)
+        resumed_telemetry = TelemetrySink(track_wall_time=False)
+        selector = GreedyLinkSelector()
+        resumed = RuntimeCrawler.resume(
+            tmp_path / "split",
+            SimulatedWebDatabase(small_ebay, page_size=10),
+            selector,
+            bus=EventBus(),
+            telemetry=resumed_telemetry,
+        )
+        final = resumed.run()
+        resumed.close()
+        resumed_telemetry.sample_selector(selector)
+        written += resumed.checkpoints_written
+
+        policy = final.policy
+        for name in (
+            "frontier_rescored",
+            "frontier_dirty",
+            "queries_completed",
+            "pages_fetched",
+            "records_new",
+        ):
+            expected = getattr(straight, name).value(policy=policy)
+            assert expected > 0, name
+            assert getattr(resumed_telemetry, name).value(policy=policy) == (
+                expected
+            ), name
+        checkpoints = resumed_telemetry.checkpoints.series()
+        assert sum(value for _, value in checkpoints) == written
+
     def test_checkpoint_without_metrics_still_resumes(self, small_ebay, tmp_path):
         seed = 11
         engine = CrawlerEngine(

@@ -27,7 +27,10 @@ class TestHeartbeat:
     def test_every_n_steps(self):
         stream = io.StringIO()
         bus = EventBus()
-        reporter = bus.attach(ProgressReporter(every=2, stream=stream))
+        telemetry = bus.attach(TelemetrySink())
+        reporter = bus.attach(
+            ProgressReporter(telemetry, every=2, stream=stream)
+        )
         for step in range(1, 6):
             bus.emit(step_event(step), policy="bfs")
         text = stream.getvalue()
@@ -39,7 +42,8 @@ class TestHeartbeat:
     def test_coverage_with_truth_size(self):
         stream = io.StringIO()
         bus = EventBus()
-        bus.attach(ProgressReporter(every=1, stream=stream, truth_size=40))
+        telemetry = bus.attach(TelemetrySink(truth_size=40))
+        bus.attach(ProgressReporter(telemetry, every=1, stream=stream))
         bus.emit(step_event(1, records=10), policy="bfs")
         assert "(25.0%)" in stream.getvalue()
 
@@ -47,14 +51,15 @@ class TestHeartbeat:
         stream = io.StringIO()
         bus = EventBus()
         telemetry = bus.attach(TelemetrySink())
-        bus.attach(ProgressReporter(every=1, stream=stream, telemetry=telemetry))
+        bus.attach(ProgressReporter(telemetry, every=1, stream=stream))
         bus.emit(step_event(1), policy="bfs")
         assert "rolling" in stream.getvalue()
 
     def test_final_line_on_stop(self):
         stream = io.StringIO()
         bus = EventBus()
-        bus.attach(ProgressReporter(every=0, stream=stream))
+        telemetry = bus.attach(TelemetrySink())
+        bus.attach(ProgressReporter(telemetry, every=0, stream=stream))
         bus.emit(step_event(1), policy="bfs")
         bus.emit(
             CrawlStopped(stopped_by="max-rounds", rounds=7, queries=3, records=12),
@@ -66,7 +71,7 @@ class TestHeartbeat:
 
     def test_negative_every_rejected(self):
         with pytest.raises(ValueError):
-            ProgressReporter(every=-1)
+            ProgressReporter(TelemetrySink(), every=-1)
 
 
 class TestJsonlStreaming:
@@ -76,7 +81,7 @@ class TestJsonlStreaming:
         telemetry = bus.attach(TelemetrySink())
         writer = JsonlMetricsWriter(path)
         bus.attach(
-            ProgressReporter(every=2, telemetry=telemetry, writer=writer)
+            ProgressReporter(telemetry, every=2, writer=writer)
         )
         for step in range(1, 5):
             bus.emit(step_event(step), policy="bfs")
@@ -86,7 +91,8 @@ class TestJsonlStreaming:
 
     def test_no_writer_no_files(self, tmp_path):
         bus = EventBus()
-        bus.attach(ProgressReporter(every=1))
+        telemetry = bus.attach(TelemetrySink())
+        bus.attach(ProgressReporter(telemetry, every=1))
         bus.emit(step_event(1), policy="bfs")  # silent: no stream, no writer
         assert list(tmp_path.iterdir()) == []
 
@@ -100,7 +106,7 @@ class TestJsonlStreaming:
         telemetry = bus.attach(TelemetrySink())
         writer = JsonlMetricsWriter(path)
         reporter = bus.attach(
-            ProgressReporter(every=2, telemetry=telemetry, writer=writer)
+            ProgressReporter(telemetry, every=2, writer=writer)
         )
         for step in range(1, 6):  # last beat at 4; step 5 unsnapshotted
             bus.emit(step_event(step), policy="bfs")
@@ -116,7 +122,7 @@ class TestJsonlStreaming:
         telemetry = bus.attach(TelemetrySink())
         writer = JsonlMetricsWriter(path)
         reporter = bus.attach(
-            ProgressReporter(every=2, telemetry=telemetry, writer=writer)
+            ProgressReporter(telemetry, every=2, writer=writer)
         )
         bus.emit(step_event(2), policy="bfs")  # beat covers the last step
         reporter.close()
@@ -130,7 +136,7 @@ class TestJsonlStreaming:
         telemetry = bus.attach(TelemetrySink())
         writer = JsonlMetricsWriter(path)
         reporter = bus.attach(
-            ProgressReporter(every=2, telemetry=telemetry, writer=writer)
+            ProgressReporter(telemetry, every=2, writer=writer)
         )
         bus.emit(step_event(1), policy="bfs")
         bus.emit(CrawlStopped(stopped_by="max-rounds"), policy="bfs")
@@ -151,10 +157,8 @@ class TestElapsedAcrossResume:
     def test_elapsed_accumulates_into_gauge(self):
         state, clock = self.fake_clock()
         bus = EventBus()
-        telemetry = bus.attach(TelemetrySink())
-        bus.attach(
-            ProgressReporter(every=1, telemetry=telemetry, clock=clock)
-        )
+        telemetry = bus.attach(TelemetrySink(clock=clock))
+        bus.attach(ProgressReporter(telemetry, every=1))
         state["now"] += 30.0
         bus.emit(step_event(1), policy="bfs")
         assert telemetry.elapsed_gauge.value() == 30.0
@@ -164,13 +168,9 @@ class TestElapsedAcrossResume:
         fresh reporter must add to it instead of starting from zero."""
         state, clock = self.fake_clock()
         bus = EventBus()
-        telemetry = bus.attach(TelemetrySink())
+        telemetry = bus.attach(TelemetrySink(clock=clock))
         stream = io.StringIO()
-        bus.attach(
-            ProgressReporter(
-                every=1, stream=stream, telemetry=telemetry, clock=clock
-            )
-        )
+        bus.attach(ProgressReporter(telemetry, every=1, stream=stream))
         # Simulate the resume sequence: sink attached first, then the
         # checkpointed registry state (elapsed included) loaded onto it.
         telemetry.registry.load_state(
@@ -184,13 +184,9 @@ class TestElapsedAcrossResume:
     def test_fresh_crawl_starts_from_zero(self):
         state, clock = self.fake_clock()
         bus = EventBus()
-        telemetry = bus.attach(TelemetrySink())
+        telemetry = bus.attach(TelemetrySink(clock=clock))
         stream = io.StringIO()
-        bus.attach(
-            ProgressReporter(
-                every=1, stream=stream, telemetry=telemetry, clock=clock
-            )
-        )
+        bus.attach(ProgressReporter(telemetry, every=1, stream=stream))
         state["now"] += 2.0
         bus.emit(step_event(1), policy="bfs")
         assert "2.0s" in stream.getvalue()

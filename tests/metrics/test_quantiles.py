@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import io
-import itertools
 
 from repro.metrics import nearest_rank, percentiles
 from repro.metrics.progress import ProgressReporter
+from repro.metrics.telemetry import TelemetrySink
 from repro.net.loadtest import _percentile
-from repro.runtime.events import RecordsHarvested
+from repro.runtime.events import EventBus, RecordsHarvested
 
 
 class TestNearestRank:
@@ -56,13 +56,14 @@ class TestHeartbeatStepLatency:
     def test_heartbeat_reports_step_percentiles(self):
         # A fake clock: step k completes at second k, so inter-step
         # deltas are exactly 1.0s and the percentiles are pinned.
-        ticks = itertools.count()
+        now = {"s": 0.0}
         stream = io.StringIO()
-        reporter = ProgressReporter(
-            every=4, stream=stream, clock=lambda: float(next(ticks))
-        )
+        bus = EventBus()
+        telemetry = bus.attach(TelemetrySink(clock=lambda: now["s"]))
+        bus.attach(ProgressReporter(telemetry, every=4, stream=stream))
         for step in range(1, 5):
-            reporter.handle(
+            now["s"] = float(step)
+            bus.emit(
                 RecordsHarvested(
                     step=step, records_total=step, rounds=step,
                     policy="gl",
@@ -73,10 +74,10 @@ class TestHeartbeatStepLatency:
 
     def test_no_percentiles_before_second_step(self):
         stream = io.StringIO()
-        reporter = ProgressReporter(
-            every=1, stream=stream, clock=lambda: 0.0
-        )
-        reporter.handle(
+        bus = EventBus()
+        telemetry = bus.attach(TelemetrySink(clock=lambda: 0.0))
+        bus.attach(ProgressReporter(telemetry, every=1, stream=stream))
+        bus.emit(
             RecordsHarvested(step=1, records_total=1, rounds=1, policy="gl")
         )
         assert "step p50" not in stream.getvalue()

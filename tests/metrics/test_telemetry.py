@@ -223,6 +223,19 @@ class TestSampleSelector:
         assert sink.frontier_rescored.value(policy="greedy-link") == 15
         assert sink.frontier_dirty.value(policy="greedy-link") == 6
 
+    def test_repeated_samples_add_only_the_change(self):
+        """The runtime samples at every full snapshot and the caller
+        again at exit: one selector's lifetime totals count once."""
+        sink = TelemetrySink()
+        stats = {"dirty_total": 2, "rescored_total": 5}
+        selector = self.FakeSelector(stats)
+        sink.sample_selector(selector)
+        sink.sample_selector(selector)
+        stats.update(dirty_total=3, rescored_total=9)
+        sink.sample_selector(selector)
+        assert sink.frontier_rescored.value(policy="greedy-link") == 9
+        assert sink.frontier_dirty.value(policy="greedy-link") == 3
+
     def test_noop_without_frontier_stats(self):
         sink = TelemetrySink()
         sink.sample_selector(object())  # e.g. MMMI: no interned frontier

@@ -62,8 +62,8 @@ class TestDurableCrawlCli:
             *CRAWL_ARGS, "--checkpoint-dir", str(tmp_path / "ck")
         )
         assert code == 0
-        assert "Event-bus crawl metrics" in text
-        assert "pages/query" in text
+        assert text.count("Crawl telemetry") == 1
+        assert "crawl_pages_per_query" in text
         assert "checkpoints written" in text
 
     def test_practical_policy_refuses_checkpointing(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Unit tests for the event bus, sinks, and metrics aggregation."""
+"""Unit tests for the event bus and its sinks."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.runtime.events import (
     EventBus,
     EventSink,
     JsonlEventSink,
-    MetricsAggregator,
     PageFetched,
     QueryAborted,
     QueryFailed,
@@ -24,7 +23,6 @@ from repro.runtime.events import (
     RecordsHarvested,
     RetryAttempted,
     RingBufferSink,
-    RoundsHistogram,
     SimulatedCrash,
 )
 
@@ -132,65 +130,6 @@ class TestJsonlEventSink:
         payloads = [json.loads(line) for line in lines]
         assert payloads[0]["event"] == "query-issued"
         assert payloads[1]["stopped_by"] == "budget"
-
-
-class TestRoundsHistogram:
-    def test_bucket_assignment(self):
-        histogram = RoundsHistogram()
-        for value in (1, 2, 3, 4, 5, 6, 100):
-            histogram.observe(value)
-        buckets = histogram.as_dict()
-        assert buckets["1"] == 1
-        assert buckets["2"] == 1
-        assert buckets["3"] == 1
-        assert buckets["4-5"] == 2
-        assert buckets["6-8"] == 1
-        assert buckets[">55"] == 1
-
-    def test_mean(self):
-        histogram = RoundsHistogram()
-        assert histogram.mean == 0.0
-        histogram.observe(2)
-        histogram.observe(4)
-        assert histogram.mean == 3.0
-
-    def test_total_matches_bucket_sum(self):
-        histogram = RoundsHistogram()
-        for value in range(1, 80):
-            histogram.observe(value)
-        assert sum(histogram.counts) == histogram.total == 79
-
-
-class TestMetricsAggregator:
-    def feed(self, metrics):
-        bus = EventBus()
-        bus.attach(metrics)
-        bus.emit(QueryIssued(query=Q), policy="gl")
-        bus.emit(RecordsHarvested(query=Q, step=1, new_records=8, pages_fetched=2), policy="gl")
-        bus.emit(RecordsHarvested(query=Q, step=2, new_records=2, pages_fetched=2), policy="gl")
-        bus.emit(RetryAttempted(query=Q, attempt=1), policy="gl")
-        bus.emit(QueryAborted(query=Q, pages_fetched=3), policy="gl")
-        bus.emit(RecordsHarvested(query=Q, step=1, new_records=5, pages_fetched=1), policy="dm")
-
-    def test_counters_and_rates(self):
-        metrics = MetricsAggregator()
-        self.feed(metrics)
-        assert metrics.count("records-harvested") == 3
-        assert metrics.count("records-harvested", "gl") == 2
-        assert metrics.harvest_rate("gl") == pytest.approx(10 / 4)
-        assert metrics.policies() == ["dm", "gl"]
-
-    def test_summary_is_json_safe(self):
-        metrics = MetricsAggregator()
-        self.feed(metrics)
-        summary = json.loads(json.dumps(metrics.summary()))
-        gl = summary["policies"]["gl"]
-        assert gl["queries"] == 2
-        assert gl["pages"] == 4
-        assert gl["new_records"] == 10
-        assert gl["retries"] == 1
-        assert gl["aborted"] == 1
-        assert summary["events_total"] == 6
 
 
 class TestCrashAfterSteps:

@@ -21,7 +21,6 @@ from repro.runtime.checkpoint import CheckpointError, CrawlCheckpoint
 from repro.runtime.events import (
     CrashAfterSteps,
     EventBus,
-    MetricsAggregator,
     RingBufferSink,
     SimulatedCrash,
 )
@@ -277,9 +276,11 @@ def test_runtime_without_checkpoint_dir_matches_plain(
 def test_durable_crawl_emits_lifecycle_events(
     tmp_path, flaky_table, ebay_domain_table
 ):
+    from repro.metrics import TelemetrySink
+
     bus = EventBus()
     ring = bus.attach(RingBufferSink(capacity=10_000))
-    metrics = bus.attach(MetricsAggregator())
+    telemetry = bus.attach(TelemetrySink())
     runtime = RuntimeCrawler(
         build_engine("greedy-link", flaky_table, ebay_domain_table, bus=bus),
         checkpoint_dir=tmp_path,
@@ -287,14 +288,19 @@ def test_durable_crawl_emits_lifecycle_events(
     )
     result = runtime.crawl(seed_values(flaky_table), max_queries=MAX_QUERIES)
     runtime.close()
-    assert metrics.count("records-harvested") == result.queries_issued
-    assert metrics.count("checkpoint-written") == runtime.checkpoints_written
+    policy = result.policy
+    assert (
+        telemetry.queries_completed.value(policy=policy)
+        == result.queries_issued
+    )
+    checkpoints = sum(value for _, value in telemetry.checkpoints.series())
+    assert checkpoints == runtime.checkpoints_written
     stopped = ring.of_kind("crawl-stopped")
     assert len(stopped) == 1
     assert stopped[0].stopped_by == result.stopped_by
     assert stopped[0].records == result.records_harvested
     # The flaky scaffold guarantees some retries actually happened.
-    assert metrics.count("retry-attempted") > 0
+    assert telemetry.retries.value(policy=policy) > 0
     steps = [event.step for event in ring.of_kind("records-harvested")]
     assert steps == sorted(steps)
 
