@@ -117,9 +117,9 @@ class CrawlerEngine:
         with ``max_retries > 0``).
 
     ``DB_local`` is always a fresh interned
-    :class:`~repro.crawler.localdb.LocalDatabase`, tracking
-    co-occurrence when the selector's ``requires_cooccurrence`` asks
-    for it.
+    :class:`~repro.crawler.localdb.LocalDatabase`; the extractor shares
+    its interner, and co-occurrence rows are built only for the values
+    a selector reads them for.
     """
 
     def __init__(
@@ -144,12 +144,8 @@ class CrawlerEngine:
         self.backoff_rng = random.Random(
             seed ^ _BACKOFF_SEED_SALT if seed is not None else None
         )
-        self.local_db = LocalDatabase(
-            track_cooccurrence=selector.requires_cooccurrence
-        )
-        self.extractor = ResultExtractor(
-            server.interface, interner=self.local_db.interner
-        )
+        self.local_db = LocalDatabase()
+        self.extractor = ResultExtractor(server.interface, self.local_db.interner)
         self.prober = DatabaseProber(
             server,
             self.extractor,

@@ -12,7 +12,7 @@ can actually query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from repro.core.intern import ValueInterner
 from repro.core.records import Record
@@ -26,19 +26,18 @@ from repro.server.service import parse_page
 class Extraction:
     """What one page yielded: its records and their queriable values.
 
-    ``candidate_ids`` mirrors ``candidate_values`` element for element
-    when the extractor was built with an interner, else None.  Ids are
-    an in-process acceleration only — never serialized.
+    ``candidate_ids`` mirrors ``candidate_values`` element for element.
+    Ids are an in-process acceleration only — never serialized.
     """
 
     records: tuple[Record, ...]
     candidate_values: tuple[AttributeValue, ...]
-    candidate_ids: Optional[tuple[int, ...]] = None
+    candidate_ids: tuple[int, ...]
     #: Per-record interned ids of the *full* clique (every attribute
     #: value, queriable or not), aligned 1:1 with ``records``.  Lets
     #: ``DB_local.add`` skip re-hashing the clique it was about to
-    #: intern itself.  None without an interner.
-    clique_ids: Optional[tuple[Tuple[int, ...], ...]] = None
+    #: intern itself.
+    clique_ids: tuple[Tuple[int, ...], ...]
 
 
 class ResultExtractor:
@@ -51,18 +50,14 @@ class ResultExtractor:
         query (directly, or as keywords when a search box exists)
         survive decomposition into the candidate pool.
     interner:
-        Optional shared :class:`ValueInterner` (``DB_local``'s).  When
-        given, decomposition runs on dense ids with a per-record memo:
-        a result page is mostly records seen before (duplicates are the
+        The :class:`ValueInterner` shared with ``DB_local``.
+        Decomposition runs on its dense ids with a per-record memo: a
+        result page is mostly records seen before (duplicates are the
         norm late in a crawl), and a memoized record costs one int
         lookup instead of re-filtering and re-hashing its clique.
     """
 
-    def __init__(
-        self,
-        interface: QueryInterface,
-        interner: Optional[ValueInterner] = None,
-    ) -> None:
+    def __init__(self, interface: QueryInterface, interner: ValueInterner) -> None:
         self.interface = interface
         self.interner = interner
         #: record_id → (full-clique ids, queriable ids) — stable:
@@ -85,16 +80,13 @@ class ResultExtractor:
 
                 page = parse_html_page(page)
         records = page.records
-        if self.interner is not None:
-            values, ids, cliques = self._decompose_interned(records)
-            return Extraction(
-                records=records,
-                candidate_values=tuple(values),
-                candidate_ids=tuple(ids),
-                clique_ids=cliques,
-            )
-        candidates = self.decompose(records)
-        return Extraction(records=records, candidate_values=tuple(candidates))
+        values, ids, cliques = self._decompose(records)
+        return Extraction(
+            records=records,
+            candidate_values=tuple(values),
+            candidate_ids=tuple(ids),
+            clique_ids=cliques,
+        )
 
     def decompose(self, records: Iterable[Record]) -> List[AttributeValue]:
         """The "decompose" step of the query-harvest-decompose loop.
@@ -102,27 +94,18 @@ class ResultExtractor:
         Returns the distinct queriable attribute values appearing in the
         records, in first-seen order (order matters for BFS/DFS).
         """
-        if self.interner is not None:
-            return self._decompose_interned(records)[0]
-        queriable = self.interface.queriable_attributes
-        keyword_ok = self.interface.supports_keyword
-        seen: dict[AttributeValue, None] = {}
-        for record in records:
-            for pair in record.attribute_values():
-                if pair.attribute in queriable or keyword_ok:
-                    seen.setdefault(pair, None)
-        return list(seen)
+        return self._decompose(records)[0]
 
-    def _decompose_interned(
+    def _decompose(
         self, records: Iterable[Record]
     ) -> Tuple[List[AttributeValue], List[int], Tuple[Tuple[int, ...], ...]]:
         """Id-indexed decomposition with the per-record memo.
 
-        Produces the same values in the same first-seen order as
-        :meth:`decompose` — the dedupe runs on ids, and ids map 1:1 to
-        values.  Also returns each record's full-clique ids so the
-        local database never re-interns a record the extractor already
-        saw (each attribute value is hashed exactly once, here).
+        The dedupe runs on ids, and ids map 1:1 to values, so the values
+        come out distinct and in first-seen order.  Also returns each
+        record's full-clique ids so the local database never re-interns
+        a record the extractor already saw (each attribute value is
+        hashed exactly once, here).
         """
         interner = self.interner
         memo = self._record_memo

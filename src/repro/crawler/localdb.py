@@ -5,39 +5,47 @@ the records harvested so far, per-value frequencies (``num(q, DB_local)``),
 the local attribute-value graph's degrees (the greedy link signal), and
 pairwise co-occurrence counts (the MMMI mutual-information signal).
 
-All statistics are maintained incrementally as records arrive, so policy
-lookups are O(1) and adding a record costs O(c²) where ``c`` is the
-record's clique size — the same asymptotics as inserting the record's
-clique into ``G_local``.
+Frequencies and degrees are maintained incrementally as records arrive,
+so their lookups are O(1); adding a record inserts its clique into
+``G_local`` with one C-level set union per clique vertex.
 
 Internally every statistic is **array-backed and id-indexed**: a
 :class:`~repro.core.intern.ValueInterner` assigns each attribute value a
 dense int id the first time it is seen, frequencies and degrees live in
-``array('I')`` columns, adjacency in int-sets, postings in sorted int
-arrays, and co-occurrence counts in symmetric per-vertex rows
-(``_cooc_rows[u][v]``) so a single dict indexes every partner of a
-vertex — the layout the vectorized MMMI recompute iterates
-queried-major.  Each value is hashed once per appearance (the intern lookup);
-everything after that is integer arithmetic.  The public API is
-unchanged — it accepts and returns :class:`AttributeValue` — and the
-``*_id`` fast paths let the selectors skip even the single hash when
-they already hold an id.  The pre-interning dict implementation lives
-on as the test oracle ``tests/crawler/reference.py``, and the
-differential tests pin the two to identical statistics.
+``array('I')`` columns, adjacency in int-sets, and postings in sorted int
+arrays.  Each value is hashed once per appearance (the intern lookup);
+everything after that is integer arithmetic.  The public API accepts
+and returns :class:`AttributeValue`, and the ``*_id`` fast paths let
+the selectors skip even the single hash when they already hold an id.
+The pre-interning dict implementation lives on as the test oracle
+``tests/crawler/reference.py``, and the differential tests pin the two
+to identical statistics.
 
 Postings (per-value and keyword) are built *lazily*: :meth:`add` only
-logs the record's interned ids, and the inverted lists materialize on
-first read, catching up over the log.  Policies that never consult
-postings — GL reads frequencies and degrees only — therefore never pay
-for them, while posting-heavy workloads (conjunctive crawls, untracked
-PMI) pay exactly the eager cost, amortized.  Laziness is invisible in
-results: every accessor flushes before reading.
+logs the record and its interned clique, and the inverted lists
+materialize on first read, catching up over the log.  Policies that
+never consult postings — GL reads frequencies and degrees only —
+therefore never pay for them, while posting-heavy workloads
+(conjunctive crawls) pay exactly the eager cost, amortized.
+
+Co-occurrence is kept only where it is read.  MMMI (Definition 3.1)
+scores a candidate against the issued queries, so a value's
+co-occurrence row ``{partner: joint}`` is built the first time
+:meth:`cooc_row` asks for it — from the value's posting list and the
+logged cliques — and :meth:`add` keeps every built row current from
+then on.  MMMI reads every joint count from the issued-query side, so
+in a crawl only the issued queries get rows, not every harvested value.
+
+Laziness is invisible in results: every accessor catches up before
+reading.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
+from itertools import chain
 from typing import (
     Dict,
     FrozenSet,
@@ -69,20 +77,12 @@ class LocalDatabase:
 
     Parameters
     ----------
-    track_cooccurrence:
-        Maintain pairwise co-occurrence counts (needed by MMMI).  Off by
-        default since the quadratic-in-clique bookkeeping is wasted on
-        policies that never consult it.
     interner:
         Share an existing :class:`ValueInterner` (e.g. one restored from
         a checkpoint).  A fresh one is built by default.
     """
 
-    def __init__(
-        self,
-        track_cooccurrence: bool = False,
-        interner: Optional[ValueInterner] = None,
-    ) -> None:
+    def __init__(self, interner: Optional[ValueInterner] = None) -> None:
         self._records: Dict[int, Record] = {}
         #: Dense value ↔ id map shared with the frontier and selectors.
         self.interner = interner if interner is not None else ValueInterner()
@@ -97,21 +97,21 @@ class LocalDatabase:
         #: batch scorers can gather degrees straight from the buffer.
         self._deg = array("I")
         self._neighbor_sets: List[Set[int]] = []
-        # Lazy inverted indexes: add() appends to the logs; the first
-        # accessor that needs a posting list drains them (see
-        # _flush_postings / _flush_keywords).
+        # Lazy inverted indexes: add() appends to the record log; the
+        # first accessor that needs a posting list catches up over it
+        # (see _flush_postings / _flush_keywords).
         self._posting_lists: List[array] = []
         self._dirty_postings: Set[int] = set()
-        self._posting_log: List[tuple] = []  # (record_id, interned ids)
         self._kw_postings: List[array] = []
         self._record_log: List[Record] = []  # insertion order
+        #: record_id -> the record's interned clique (as add() got it).
+        self._cliques: Dict[int, Sequence[int]] = {}
+        self._postings_upto = 0  # records folded into the posting lists
         self._kw_upto = 0  # records folded into the keyword index
         self._num_distinct = 0
-        self.track_cooccurrence = track_cooccurrence
-        # Symmetric per-vertex co-occurrence rows: _cooc_rows[u][v] ==
-        # _cooc_rows[v][u] == #records containing both u and v (u != v).
-        # Grown only when tracking (the rows would be dead weight for GL).
-        self._cooc_rows: List[Dict[int, int]] = []
+        # Co-occurrence rows of the values asked for through cooc_row():
+        # _cooc_rows[u][v] == #records containing both u and v (u != v).
+        self._cooc_rows: Dict[int, Dict[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Interning
@@ -137,8 +137,6 @@ class LocalDatabase:
         self._deg.frombytes(zeros)
         self._neighbor_sets.extend(set() for _ in range(grow))
         self._posting_lists.extend(array("q") for _ in range(grow))
-        if self.track_cooccurrence:
-            self._cooc_rows.extend({} for _ in range(grow))
 
     def load_interner_state(self, payload) -> None:
         """Restore a checkpointed id assignment (before re-adding records).
@@ -190,19 +188,16 @@ class LocalDatabase:
             freq[vid] = count + 1
         if bumped:
             self._num_distinct += bumped
-        self._posting_log.append((record_id, ids))
+        self._cliques[record_id] = ids
 
-        if self.track_cooccurrence:
-            rows = self._cooc_rows
-            n = len(ids)
-            for i in range(n):
-                u = ids[i]
-                row_u = rows[u]
-                for j in range(i + 1, n):
-                    v = ids[j]
-                    count = row_u.get(v, 0) + 1
-                    row_u[v] = count
-                    rows[v][u] = count
+        rows = self._cooc_rows
+        if rows:
+            for u in ids:
+                row = rows.get(u)
+                if row is not None:
+                    for v in ids:
+                        if v != u:
+                            row[v] = row.get(v, 0) + 1
         # Clique edges: each vertex unions the whole clique (a C-speed
         # bulk op) and drops itself, instead of O(c²) Python-level adds.
         neighbors = self._neighbor_sets
@@ -304,7 +299,7 @@ class LocalDatabase:
         vid = self.interner.lookup(value)
         if vid is None:
             return _EMPTY_VIEW
-        if self._posting_log:
+        if self._postings_upto < len(self._record_log):
             self._flush_postings()
         if vid >= len(self._posting_lists):
             return _EMPTY_VIEW
@@ -324,22 +319,24 @@ class LocalDatabase:
     # Postings — lazily materialized inverted indexes
     # ------------------------------------------------------------------
     def _flush_postings(self) -> None:
-        """Fold the logged (record, ids) entries into the posting lists.
+        """Fold records added since the last posting read into the lists.
 
         add() only logs; the fold runs on first read, so policies that
         never consult postings never pay for them.  Amortized cost for
-        posting-heavy workloads equals the eager cost: each logged entry
+        posting-heavy workloads equals the eager cost: each logged record
         is folded exactly once.
         """
         postings = self._posting_lists
         dirty = self._dirty_postings
-        for record_id, ids in self._posting_log:
-            for vid in ids:
+        cliques = self._cliques
+        for record in self._record_log[self._postings_upto:]:
+            record_id = record.record_id
+            for vid in cliques[record_id]:
                 plist = postings[vid]
                 if plist and record_id < plist[-1]:
                     dirty.add(vid)
                 plist.append(record_id)
-        self._posting_log.clear()
+        self._postings_upto = len(self._record_log)
 
     def _flush_keywords(self) -> None:
         """Fold records added since the last keyword read into the index."""
@@ -364,7 +361,7 @@ class LocalDatabase:
         frontiers), so appends mark the list dirty and the sort is paid
         once per read burst instead of once per insert.
         """
-        if self._posting_log:
+        if self._postings_upto < len(self._record_log):
             self._flush_postings()
         if vid >= len(self._posting_lists):
             return _EMPTY_POSTING
@@ -415,9 +412,9 @@ class LocalDatabase:
     def cooccurrence(self, u: AttributeValue, v: AttributeValue) -> int:
         """Records of ``DB_local`` containing both values.
 
-        With ``track_cooccurrence`` enabled this is O(1); otherwise it
-        falls back to intersecting posting lists.  A value co-occurs
-        with itself in every record containing it.
+        Read from ``u``'s co-occurrence row (built on first use, see
+        :meth:`cooc_row`), so pass the issued query first.  A value
+        co-occurs with itself in every record containing it.
         """
         lookup = self.interner.lookup
         uid, vid = lookup(u), lookup(v)
@@ -429,30 +426,42 @@ class LocalDatabase:
         """Id fast path of :meth:`cooccurrence`."""
         if u == v:
             return self.frequency_id(u)
-        if self.track_cooccurrence:
-            if u < len(self._cooc_rows):
-                return self._cooc_rows[u].get(v, 0)
-            return 0
-        return len(intersect_sorted(self._sorted_posting(u), self._sorted_posting(v)))
+        return self.cooc_row(u).get(v, 0)
 
     def cooc_row(self, vid: int) -> Dict[int, int]:
         """The vertex's **live** co-occurrence row ``{partner: joint}``.
 
+        Built on first request from the value's posting list and the
+        logged cliques; :meth:`add` keeps it current from then on.  The
+        row holds exactly the positive-joint partners, never ``vid``
+        itself.  A value with no harvested record yet gets a shared empty
+        row and nothing is cached for it.
+
         Zero-copy by design, like :meth:`neighbor_id_set`: the vectorized
         MMMI recompute bulk-loads each issued query's partners and joint
         counts straight out of the row.  Callers must treat it as
-        read-only.  Empty unless ``track_cooccurrence`` is on.
+        read-only.
         """
-        if vid < len(self._cooc_rows):
-            return self._cooc_rows[vid]
-        return _EMPTY_ROW
+        row = self._cooc_rows.get(vid)
+        if row is not None:
+            return row
+        if not self.frequency_id(vid):
+            return _EMPTY_ROW
+        cliques = self._cliques
+        row = Counter(
+            chain.from_iterable(map(cliques.__getitem__, self._sorted_posting(vid)))
+        )
+        del row[vid]
+        self._cooc_rows[vid] = row
+        return row
 
     def pmi(self, u: AttributeValue, v: AttributeValue) -> float:
         """Pointwise mutual information ``ln P(u,v) / (P(u) P(v))``.
 
-        The Definition 3.1 dependency signal.  Returns ``-inf`` when the
-        values never co-occur locally, and ``-inf`` when either value is
-        unseen (no evidence of dependency).
+        The Definition 3.1 dependency signal, read from ``u``'s row like
+        :meth:`cooccurrence`.  Returns ``-inf`` when the values never
+        co-occur locally, and ``-inf`` when either value is unseen (no
+        evidence of dependency).
         """
         lookup = self.interner.lookup
         uid, vid = lookup(u), lookup(v)
@@ -475,51 +484,33 @@ class LocalDatabase:
     ) -> float:
         """Definition 3.1's ``s(q_i)`` over interned ids.
 
-        The max (or mean) finite PMI of ``vid`` against the members of
-        ``queried_ids`` it co-occurs with; ``-inf`` when it co-occurs
-        with none.  Bit-for-bit equal to aggregating
-        :meth:`pmi_ids` pairwise — same arithmetic in the same order —
-        with the per-pair call overhead inlined away: this is the MMMI
-        batch recompute's inner loop.
+        The max (or mean) PMI of ``vid`` against the members of
+        ``queried_ids`` it co-occurs with — its ``G_local`` neighbours
+        among them, each with a positive joint count — or ``-inf`` when
+        there are none.  Joints come from the issued queries' rows.
+        Bit-for-bit equal to aggregating :meth:`pmi_ids` pairwise —
+        same arithmetic in the same order — with the per-pair call
+        overhead inlined away: this is the scalar reference of the MMMI
+        batch recompute and the only path of its ``mean`` aggregate.
         """
         queried_neighbors = self._neighbor_sets[vid] & queried_ids
         if not queried_neighbors:
             return -math.inf
         n = len(self._records)
-        if n == 0:
-            return -math.inf
         freq = self._freq
         fu = freq[vid]
         log = math.log
+        cooc_row = self.cooc_row
         best = -math.inf
         total = 0.0
-        count = 0
-        if self.track_cooccurrence:
-            row_get = self._cooc_rows[vid].get
-            for v in queried_neighbors:
-                joint = row_get(v, 0)
-                if joint == 0:
-                    continue
-                p = log(joint * n / (fu * freq[v]))
-                if p > best:
-                    best = p
-                total += p
-                count += 1
-        else:
-            pmi_ids = self.pmi_ids
-            for v in queried_neighbors:
-                p = pmi_ids(vid, v)
-                if p == -math.inf:
-                    continue
-                if p > best:
-                    best = p
-                total += p
-                count += 1
+        for q in queried_neighbors:
+            p = log(cooc_row(q)[vid] * n / (freq[q] * fu))
+            if p > best:
+                best = p
+            total += p
         if use_max:
             return best
-        if count == 0:
-            return -math.inf
-        return total / count
+        return total / len(queried_neighbors)
 
     # ------------------------------------------------------------------
     # Vocabulary

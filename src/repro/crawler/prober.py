@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.errors import UnsupportedQueryError
+from repro.core.errors import CrawlError, UnsupportedQueryError
 from repro.core.query import AnyQuery, ConjunctiveQuery
 from repro.core.records import Record
 from repro.crawler.abortion import AbortionPolicy, NeverAbort, PageProgress
@@ -54,10 +54,10 @@ class QueryOutcome:
     records_returned: int = 0
     new_records: List[Record] = field(default_factory=list)
     candidate_values: List[AttributeValue] = field(default_factory=list)
-    #: Interned ids mirroring ``candidate_values`` 1:1 when the
-    #: extractor shares ``DB_local``'s interner, else None.  In-process
-    #: acceleration only: never journaled, and replayed outcomes carry
-    #: None (consumers must treat the values as authoritative).
+    #: Interned ids mirroring ``candidate_values`` 1:1 once a page was
+    #: extracted.  In-process acceleration only: never journaled, and
+    #: replayed outcomes carry None (consumers must treat the values as
+    #: authoritative).
     candidate_ids: Optional[List[int]] = None
     total_matches: Optional[int] = None
     accessible_matches: int = 0
@@ -83,7 +83,9 @@ class DatabaseProber:
     server:
         The target web database.
     extractor:
-        Parses pages and decomposes records into candidate values.
+        Parses pages and decomposes records into candidate values; must
+        share ``local_db``'s interner, since its clique ids go straight
+        into ``local_db.add``.
     local_db:
         ``DB_local``; records are inserted as pages arrive so the
         abortion policy sees up-to-date duplicate counts.
@@ -117,6 +119,8 @@ class DatabaseProber:
         retry_rng: Optional[random.Random] = None,
         policy: Optional[str] = None,
     ) -> None:
+        if extractor.interner is not local_db.interner:
+            raise CrawlError("the extractor must share the local database's interner")
         self.server = server
         self.extractor = extractor
         self.local_db = local_db
@@ -183,25 +187,18 @@ class DatabaseProber:
             outcome.records_returned += len(page.records)
             outcome.total_matches = meta.total_matches
             outcome.accessible_matches = meta.accessible_matches
-            clique_ids = page.clique_ids
-            if clique_ids is not None:
-                # Interned DB_local: hand over the ids the extractor
-                # already computed so add() skips re-hashing the clique.
-                add = self.local_db.add
-                new_here = [
-                    r
-                    for r, ids in zip(page.records, clique_ids)
-                    if add(r, ids)
-                ]
-            else:
-                new_here = [r for r in page.records if self.local_db.add(r)]
+            # Hand over the ids the extractor already computed so add()
+            # skips re-hashing the clique.
+            add = self.local_db.add
+            new_here = [
+                r for r, ids in zip(page.records, page.clique_ids) if add(r, ids)
+            ]
             outcome.new_records.extend(new_here)
             outcome.candidate_values.extend(page.candidate_values)
-            if page.candidate_ids is not None:
-                if outcome.candidate_ids is None:
-                    outcome.candidate_ids = list(page.candidate_ids)
-                else:
-                    outcome.candidate_ids.extend(page.candidate_ids)
+            if outcome.candidate_ids is None:
+                outcome.candidate_ids = list(page.candidate_ids)
+            else:
+                outcome.candidate_ids.extend(page.candidate_ids)
             progress.update(len(page.records), len(new_here))
             if announce:
                 self.bus.emit(

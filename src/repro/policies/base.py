@@ -28,13 +28,9 @@ from repro.crawler.prober import QueryOutcome
 class QuerySelector(ABC):
     """Base class for all query-selection policies.
 
-    Class attribute ``requires_cooccurrence`` tells the engine whether
-    ``DB_local`` must maintain pairwise co-occurrence counts (only MMMI
-    needs them; they cost O(clique²) memory).
+    Every policy binds to the same interned ``DB_local``, which builds
+    postings and co-occurrence rows only when a policy first reads them.
     """
-
-    #: Whether the policy reads LocalDatabase.cooccurrence / pmi.
-    requires_cooccurrence = False
 
     #: Trace hook installed by the engine when a tracing sink is
     #: attached (see :meth:`set_trace_emitter`).  ``None`` in untraced

@@ -73,8 +73,6 @@ class GreedyMmmiSelector(QuerySelector):
         Forwarded to the inner MMMI selector.
     """
 
-    requires_cooccurrence = True
-
     #: Sentinel distinguishing "default detector" from "no detector".
     _DEFAULT_DETECTOR = object()
 

@@ -57,8 +57,6 @@ class MinMaxMutualInformationSelector(QuerySelector):
         key.
     """
 
-    requires_cooccurrence = True
-
     def __init__(
         self,
         batch_size: int = 25,
@@ -88,14 +86,6 @@ class MinMaxMutualInformationSelector(QuerySelector):
     @property
     def name(self) -> str:
         return "mmmi"
-
-    def bind(self, context) -> None:
-        super().bind(context)
-        if not context.local_db.track_cooccurrence:
-            raise CrawlError(
-                "MinMaxMutualInformationSelector needs a local database "
-                "built with track_cooccurrence=True"
-            )
 
     # ------------------------------------------------------------------
     def add_candidate(self, value: AttributeValue) -> None:
@@ -173,6 +163,7 @@ class MinMaxMutualInformationSelector(QuerySelector):
         queried can co-occur with it, so the max/mean runs over that
         intersection; no co-occurring issued query yields ``-inf``
         (an entirely independent candidate — the best possible score).
+        PMI is read from each issued query's co-occurrence row.
         """
         context = self._require_context()
         local = context.local_db
@@ -181,7 +172,7 @@ class MinMaxMutualInformationSelector(QuerySelector):
         queried_neighbors = local.neighbors(value) & context.queried_values
         if not queried_neighbors:
             return -math.inf
-        pmis = [local.pmi(value, n) for n in queried_neighbors]
+        pmis = [local.pmi(q, value) for q in queried_neighbors]
         pmis = [p for p in pmis if p != -math.inf]
         if not pmis:
             return -math.inf

@@ -258,7 +258,7 @@ class TestAbortionEndToEnd:
         sink = bus.attach(TelemetrySink())
         prober = DatabaseProber(
             server,
-            ResultExtractor(server.interface),
+            ResultExtractor(server.interface, local_db.interner),
             local_db,
             abortion=abortion,
             bus=bus,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core import AttributeValue
 from repro.crawler import LocalDatabase
 from tests.conftest import make_record
+from tests.crawler.reference import ReferenceLocalDatabase
 
 
 def AV(attribute, value):
@@ -89,8 +90,8 @@ class TestStatistics:
 
 
 class TestCooccurrence:
-    def test_tracked_mode(self):
-        local = LocalDatabase(track_cooccurrence=True)
+    def test_joint_counts(self):
+        local = LocalDatabase()
         local.add(make_record(1, a="x", b="p"))
         local.add(make_record(2, a="x", b="p"))
         local.add(make_record(3, a="x", b="q"))
@@ -98,31 +99,50 @@ class TestCooccurrence:
         assert local.cooccurrence(AV("a", "x"), AV("b", "q")) == 1
         assert local.cooccurrence(AV("b", "p"), AV("b", "q")) == 0
 
-    def test_untracked_falls_back_to_postings(self):
-        local = LocalDatabase(track_cooccurrence=False)
-        local.add(make_record(1, a="x", b="p"))
+    def test_row_built_from_postings(self):
+        """A row first asked for after its records is built from postings."""
+        local = LocalDatabase()
+        local.add(make_record(1, a="x", b="p", c="z"))
         local.add(make_record(2, a="x", b="p"))
+        x, p, z = map(local.value_id, (AV("a", "x"), AV("b", "p"), AV("c", "z")))
+        assert local.cooc_row(x) == {p: 2, z: 1}
         assert local.cooccurrence(AV("a", "x"), AV("b", "p")) == 2
 
+    def test_row_of_unharvested_value_is_not_cached(self):
+        """A row asked for before the value's first record stays empty
+        until the record arrives, then reflects it."""
+        local = LocalDatabase()
+        x = local.intern_value(AV("a", "x"))
+        assert local.cooc_row(x) == {}
+        assert local.cooc_row(10_000) == {}
+        local.add(make_record(1, a="x", b="p"))
+        assert local.cooc_row(x) == {local.value_id(AV("b", "p")): 1}
+
     def test_modes_agree(self):
+        """Both modes of the reference oracle agree with the rows."""
         records = [
             make_record(1, a="x", b="p"),
             make_record(2, a="x", b="q"),
             make_record(3, a="y", b="p"),
         ]
-        tracked, untracked = LocalDatabase(True), LocalDatabase(False)
+        local = LocalDatabase()
+        tracked = ReferenceLocalDatabase(track_cooccurrence=True)
+        untracked = ReferenceLocalDatabase(track_cooccurrence=False)
         for record in records:
+            local.add(record)
             tracked.add(record)
             untracked.add(record)
         for u in tracked.distinct_values():
             for v in tracked.distinct_values():
-                assert tracked.cooccurrence(u, v) == untracked.cooccurrence(u, v)
+                expected = tracked.cooccurrence(u, v)
+                assert untracked.cooccurrence(u, v) == expected
+                assert local.cooccurrence(u, v) == expected
 
 
 class TestPmi:
     def test_independent_pair_pmi_zero(self):
         # P(x)=0.5, P(p)=0.5, P(x,p)=0.25 over 4 records: PMI = ln 1 = 0.
-        local = LocalDatabase(track_cooccurrence=True)
+        local = LocalDatabase()
         local.add(make_record(1, a="x", b="p"))
         local.add(make_record(2, a="x", b="q"))
         local.add(make_record(3, a="y", b="p"))
@@ -130,20 +150,20 @@ class TestPmi:
         assert local.pmi(AV("a", "x"), AV("b", "p")) == pytest.approx(0.0)
 
     def test_perfect_dependency_positive(self):
-        local = LocalDatabase(track_cooccurrence=True)
+        local = LocalDatabase()
         local.add(make_record(1, a="x", b="p"))
         local.add(make_record(2, a="y", b="q"))
         # x and p always co-occur: PMI = ln(1*2/(1*1)) = ln 2.
         assert local.pmi(AV("a", "x"), AV("b", "p")) == pytest.approx(math.log(2))
 
     def test_never_cooccur_is_minus_inf(self):
-        local = LocalDatabase(track_cooccurrence=True)
+        local = LocalDatabase()
         local.add(make_record(1, a="x", b="p"))
         local.add(make_record(2, a="y", b="q"))
         assert local.pmi(AV("a", "x"), AV("b", "q")) == -math.inf
 
     def test_empty_db_is_minus_inf(self):
-        local = LocalDatabase(track_cooccurrence=True)
+        local = LocalDatabase()
         assert local.pmi(AV("a", "x"), AV("b", "p")) == -math.inf
 
 

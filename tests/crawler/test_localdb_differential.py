@@ -8,9 +8,12 @@ stream.  These tests feed byte-identical seeded streams to both and
 compare the full statistical surface:
 
 frequencies, degrees, neighbor sets, postings (``matching_ids``),
-keyword frequencies, co-occurrence counts (both the tracked-counter and
-the posting-intersection configurations), PMI, conjunctive matching,
-and the vocabulary views.
+keyword frequencies, co-occurrence counts (against both the oracle's
+tracked counter and its posting intersection), PMI, conjunctive
+matching, and the vocabulary views.  Every stream also asks for
+co-occurrence rows between its ``add`` calls — some before the value's
+first record — and checks each built row against the oracle's joint
+counts as the stream goes, so row maintenance is pinned too.
 
 A hypothesis property covers adversarial small streams (duplicate
 records, multi-valued attributes, colliding values across attributes);
@@ -114,13 +117,45 @@ def assert_equivalent(local: LocalDatabase, reference: ReferenceLocalDatabase):
     assert local.matching_ids(ghost) == reference.matching_ids(ghost) == frozenset()
 
 
+def assert_rows_match(local: LocalDatabase, reference, requested):
+    """Every requested row holds exactly the oracle's positive joints."""
+    values = reference.distinct_values()
+    decode = local.interner.value
+    for u in requested:
+        expected = {}
+        for v in values:
+            joint = reference.cooccurrence(u, v)
+            if joint and v != u:
+                expected[v] = joint
+        row = local.cooc_row(local.value_id(u))
+        assert {decode(p): joint for p, joint in row.items()} == expected, u
+
+
 def feed_both(records, track_cooccurrence: bool, interner=None):
-    local = LocalDatabase(
-        track_cooccurrence=track_cooccurrence, interner=interner
-    )
+    """Feed ``records`` to both databases, interleaving row requests.
+
+    ``track_cooccurrence`` picks the oracle's mode.  Before every fifth
+    record the local database is asked for the row of that record's
+    first value — still unharvested when the value is new — and every
+    requested row is checked against the oracle every 50 records and at
+    the end.
+    """
+    local = LocalDatabase(interner=interner)
     reference = ReferenceLocalDatabase(track_cooccurrence=track_cooccurrence)
-    for record in records:
+    requested = []
+    for i, record in enumerate(records):
+        if i % 5 == 0:
+            value = record.attribute_values()[0]
+            vid = local.intern_value(value)
+            if not local.frequency_id(vid):
+                assert local.cooc_row(vid) == {}
+            else:
+                local.cooc_row(vid)
+            requested.append(value)
         assert local.add(record) == reference.add(record), record.record_id
+        if i % 50 == 49:
+            assert_rows_match(local, reference, requested)
+    assert_rows_match(local, reference, requested)
     return local, reference
 
 
@@ -131,8 +166,9 @@ class TestSeededStreams:
         assert_equivalent(local, reference)
 
     def test_posting_intersection_stream(self):
-        # Without the tracked counter, co-occurrence answers come from
-        # sorted-posting intersections — the lazy flush/sort machinery.
+        # The oracle answers co-occurrence from posting intersections;
+        # the local rows are built from postings too — the lazy
+        # flush/sort machinery.
         records = make_stream(seed=23, n=600)
         local, reference = feed_both(records, track_cooccurrence=False)
         assert_equivalent(local, reference)
@@ -201,5 +237,6 @@ class TestPropertyDifferential:
     @settings(max_examples=60, deadline=None)
     @given(records=record_streams(), tracked=st.booleans())
     def test_any_stream_matches_reference(self, records, tracked):
+        # ``tracked`` picks the oracle's mode; the local side has one.
         local, reference = feed_both(records, track_cooccurrence=tracked)
         assert_equivalent(local, reference)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Query
+from repro.core import CrawlError, Query
 from repro.crawler import (
     DatabaseProber,
     LocalDatabase,
@@ -15,11 +15,18 @@ from repro.server import SimulatedWebDatabase
 def make_prober(books, abortion=None, use_xml=False, local=None):
     server = SimulatedWebDatabase(books, page_size=2)
     local = local if local is not None else LocalDatabase()
-    extractor = ResultExtractor(server.interface)
+    extractor = ResultExtractor(server.interface, local.interner)
     return server, local, DatabaseProber(server, extractor, local, abortion, use_xml)
 
 
 class TestExecute:
+    def test_extractor_must_share_the_interner(self, books):
+        """Clique ids from a foreign interner would corrupt DB_local."""
+        server = SimulatedWebDatabase(books, page_size=2)
+        extractor = ResultExtractor(server.interface, LocalDatabase().interner)
+        with pytest.raises(CrawlError, match="interner"):
+            DatabaseProber(server, extractor, LocalDatabase())
+
     def test_fetches_all_pages(self, books):
         server, local, prober = make_prober(books)
         outcome = prober.execute(Query.equality("publisher", "orbit"))

@@ -18,7 +18,7 @@ def AV(attribute, value):
 
 def bind(selector):
     context = CrawlerContext(
-        local_db=LocalDatabase(track_cooccurrence=True),
+        local_db=LocalDatabase(),
         interface=QueryInterface(frozenset({"a", "b"})),
         page_size=10,
         rng=random.Random(0),

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AttributeValue, CrawlError
+from repro.core import AttributeValue
 from repro.crawler import CrawlerContext, CrawlerEngine, LocalDatabase
 from repro.policies import (
     GreedyFrequencySelector,
@@ -88,17 +88,6 @@ class TestCrawlLevelIdentity:
 
 
 class TestVectorizedValidation:
-    def test_untracked_database_is_rejected(self, small_ebay):
-        """MMMI reads co-occurrence rows; binding without them fails."""
-        context = CrawlerContext(
-            local_db=LocalDatabase(track_cooccurrence=False),
-            interface=SimulatedWebDatabase(small_ebay, page_size=10).interface,
-            page_size=10,
-            rng=random.Random(0),
-        )
-        with pytest.raises(CrawlError, match="track_cooccurrence"):
-            MinMaxMutualInformationSelector().bind(context)
-
     def test_mean_aggregate_auto_stays_scalar(self, small_ebay):
         """``aggregate="mean"`` crawls on the scalar key loop."""
         result, _ = crawl_signature(
@@ -110,8 +99,8 @@ class TestVectorizedValidation:
 
 
 def correlated_local():
-    """A tiny tracked database with known co-occurrence structure."""
-    local = LocalDatabase(track_cooccurrence=True)
+    """A tiny database with known co-occurrence structure."""
+    local = LocalDatabase()
     records = [
         make_record(1, a="lead", b="paired", c="x"),
         make_record(2, a="lead", b="paired", c="y"),
@@ -174,7 +163,7 @@ class TestMMMIKernelEdges:
         assert vectorized.mmmi_best_ratios(local, queried, []) == []
 
     def test_empty_database(self):
-        local = LocalDatabase(track_cooccurrence=True)
+        local = LocalDatabase()
         assert vectorized.mmmi_best_ratios(local, [0], [1]) == [0.0]
 
     def test_queried_id_past_column_end_is_skipped(self):
@@ -229,14 +218,14 @@ class TestColumnScorerEdges:
         [vectorized.degree_batch_scorer, vectorized.frequency_batch_scorer],
     )
     def test_empty_database_and_empty_batch(self, make_scorer):
-        local = LocalDatabase(track_cooccurrence=True)
+        local = LocalDatabase()
         scorer = make_scorer(local)
         assert scorer([]) == []
         assert scorer([0, 5]) == [0.0, 0.0]
 
     def test_scorer_sees_live_column_growth(self):
         """Columns may reallocate on add; the scorer must re-fetch."""
-        local = LocalDatabase(track_cooccurrence=True)
+        local = LocalDatabase()
         scorer = vectorized.frequency_batch_scorer(local)
         local.add(make_record(1, a="v"))
         vid = local.value_id(AV("a", "v"))
@@ -253,7 +242,7 @@ def mmmi_orders(records, queried, candidates, batch_size, **options):
     ``records``; ``candidates`` not interned there arrive by value and
     keep the ``(0.0, 0, value)`` key.
     """
-    local = LocalDatabase(track_cooccurrence=True)
+    local = LocalDatabase()
     for record in records:
         local.add(record)
     orders = []

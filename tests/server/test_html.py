@@ -96,10 +96,10 @@ class TestServerIntegration:
         assert page.total_matches == 4
 
     def test_extractor_sniffs_html(self, books):
-        from repro.crawler import ResultExtractor
+        from repro.crawler import LocalDatabase, ResultExtractor
 
         server = SimulatedWebDatabase(books, page_size=2)
-        extractor = ResultExtractor(server.interface)
+        extractor = ResultExtractor(server.interface, LocalDatabase().interner)
         for annotated in (True, False):
             document = server.submit_html(
                 Query.equality("publisher", "orbit"), annotated=annotated
@@ -109,10 +109,10 @@ class TestServerIntegration:
             assert extraction.candidate_values
 
     def test_html_and_xml_paths_agree(self, books):
-        from repro.crawler import ResultExtractor
+        from repro.crawler import LocalDatabase, ResultExtractor
 
         server = SimulatedWebDatabase(books, page_size=2)
-        extractor = ResultExtractor(server.interface)
+        extractor = ResultExtractor(server.interface, LocalDatabase().interner)
         query = Query.equality("publisher", "orbit")
         from_xml = extractor.extract(server.submit_xml(query, 1))
         for annotated in (True, False):
@@ -133,8 +133,8 @@ class TestFullHtmlCrawl:
         from repro.policies import BreadthFirstSelector
 
         server = SimulatedWebDatabase(books, page_size=2)
-        extractor = ResultExtractor(server.interface)
         local = LocalDatabase()
+        extractor = ResultExtractor(server.interface, local.interner)
         # Drive the loop manually through HTML documents.
         frontier = [("publisher", "orbit")]
         seen_queries = set()

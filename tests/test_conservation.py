@@ -6,17 +6,21 @@ The paper's cost model — a query costs one round per result page, and
 harvest is new records per page — must come out the same from the
 server's round counter, the registry, the span tree and the
 :class:`~repro.crawler.engine.CrawlResult`, on a reliable source and
-on a flaky one whose failures and backoff waits are charged.
+on a flaky one whose failures and backoff waits are charged.  Per
+query, a crawl that runs a query to its end pays exactly
+⌈accessible matches / k⌉ pages; an aborted one pays fewer.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
 
 from repro.cli import POLICIES
+from repro.crawler.abortion import PageCapAbort
 from repro.crawler.engine import CrawlerEngine
 from repro.experiments.harness import sample_seed_values
 from repro.metrics import TelemetrySink
@@ -28,15 +32,14 @@ from repro.trace import TraceSink
 SEED = 3
 
 
-def _crawl(table, policy, flaky):
+def _crawl(table, policy, flaky, **engine_kwargs):
     bus = EventBus()
     telemetry = bus.attach(TelemetrySink(track_wall_time=False))
     tracer = bus.attach(TraceSink(path=None, include_timings=False))
     server = SimulatedWebDatabase(table)
-    engine_kwargs = {}
     if flaky:
         server = FlakyServer(server, failure_rate=0.1, seed=SEED)
-        engine_kwargs = dict(
+        engine_kwargs.update(
             max_retries=3, backoff=ExponentialBackoff.charging(10.0)
         )
     engine = CrawlerEngine(
@@ -83,3 +86,38 @@ def test_trace_registry_and_result_conserve_rounds_and_records(
     else:
         assert retries == backoff == failed == 0
         assert rounds == pages
+
+
+def _pages_owed(outcome, page_size):
+    return math.ceil(outcome.accessible_matches / page_size)
+
+
+@pytest.mark.parametrize("policy", ["greedy-link", "greedy-mmmi"])
+def test_each_finished_query_pays_one_round_per_result_page(small_ebay, policy):
+    server, _, result, _, _ = _crawl(
+        small_ebay, policy, flaky=False, keep_outcomes=True
+    )
+    finished = [o for o in result.outcomes if not (o.aborted or o.failed)]
+    assert len(finished) == len(result.outcomes) > 0
+    for outcome in finished:
+        assert outcome.pages_fetched == _pages_owed(outcome, server.page_size)
+    assert sum(o.pages_fetched for o in result.outcomes) == server.rounds
+
+
+def test_page_cap_aborts_pay_fewer_pages(small_ebay):
+    server, _, result, _, _ = _crawl(
+        small_ebay,
+        "greedy-link",
+        flaky=False,
+        keep_outcomes=True,
+        abortion=PageCapAbort(max_pages=2),
+    )
+    aborted = [o for o in result.outcomes if o.aborted]
+    assert aborted
+    for outcome in result.outcomes:
+        owed = _pages_owed(outcome, server.page_size)
+        if outcome.aborted:
+            assert outcome.pages_fetched == 2 < owed
+        else:
+            assert outcome.pages_fetched == owed <= 2
+    assert sum(o.pages_fetched for o in result.outcomes) == server.rounds
