@@ -10,18 +10,12 @@ shared block's bytes through the metrics registry.
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import scaled
 from repro.core import shmtable
 from repro.datasets.ebay import generate_ebay
 from repro.experiments.harness import run_policy_suite
 from repro.metrics.registry import MetricsRegistry
 from repro.policies import GreedyLinkSelector, MinMaxMutualInformationSelector
-
-pytestmark = pytest.mark.skipif(
-    not shmtable.supported(), reason="shared-memory payloads unsupported"
-)
 
 POLICIES = {
     "greedy-link": GreedyLinkSelector,

@@ -14,8 +14,6 @@ from repro.core.intern import (
     StringInterner,
     ValueInterner,
     intersect_sorted,
-    pack_pair,
-    unpack_pair,
 )
 from repro.core.query import AnyQuery, ConjunctiveQuery, Query
 from repro.core.records import Record
@@ -44,6 +42,4 @@ __all__ = [
     "ValueInterner",
     "intersect_sorted",
     "normalize",
-    "pack_pair",
-    "unpack_pair",
 ]

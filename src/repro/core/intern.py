@@ -13,10 +13,6 @@ structure — frequencies, degrees, adjacency, postings, co-occurrence —
 is an array or an int set indexed by the id, so the per-object hashing
 cost is paid exactly once per appearance instead of once per use site.
 
-Pairs of ids are packed into a single int key for co-occurrence
-counters (:func:`pack_pair`), replacing per-pair ``frozenset``
-allocation and hashing with one shift and one or.
-
 Determinism: id assignment depends only on first-seen order, and no
 crawl decision depends on id *values* (heaps tie-break on push ticks,
 sorts tie-break on the values themselves), so interning never changes
@@ -31,28 +27,11 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.values import AttributeValue
 
-#: Id width reserved for one side of a packed pair.  2**32 distinct
-#: attribute values per crawl is far beyond every dataset in PAPERS.md;
-#: the interner raises loudly if a crawl ever crosses it.
-PAIR_SHIFT = 32
-MAX_ID = (1 << PAIR_SHIFT) - 1
-
-
-def pack_pair(u: int, v: int) -> int:
-    """Pack two interned ids into one canonical int key.
-
-    The smaller id lands in the high bits, so ``pack_pair(u, v) ==
-    pack_pair(v, u)`` — the same symmetry a ``frozenset({u, v})`` key
-    provided, at a fraction of the cost.
-    """
-    if u > v:
-        u, v = v, u
-    return (u << PAIR_SHIFT) | v
-
-
-def unpack_pair(key: int) -> tuple:
-    """Invert :func:`pack_pair` → ``(lo, hi)``."""
-    return key >> PAIR_SHIFT, key & MAX_ID
+#: Largest value id.  Shared-memory table blocks store each record as a
+#: row of uint32 value ids (:mod:`repro.core.shmtable`); 2**32 distinct
+#: attribute values is far beyond every dataset in PAPERS.md, and the
+#: interner raises loudly if a table or crawl ever crosses it.
+MAX_ID = (1 << 32) - 1
 
 
 class ValueInterner:

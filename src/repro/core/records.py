@@ -51,6 +51,27 @@ class Record:
         object.__setattr__(self, "_values", tuple(pairs))
 
     @classmethod
+    def _normalized(
+        cls,
+        record_id: int,
+        fields: dict[str, tuple[str, ...]],
+        values: tuple[AttributeValue, ...],
+    ) -> "Record":
+        """A record over fields that are already clean.
+
+        ``fields`` must be what ``__post_init__`` would make of them
+        (lower-case names, normalized non-empty de-duplicated values)
+        and ``values`` their pairs in the same order.  Table builds and
+        shared-memory attaches use it to skip normalizing every value
+        again and to share one interned pair object per distinct value.
+        """
+        record = object.__new__(cls)
+        object.__setattr__(record, "record_id", record_id)
+        object.__setattr__(record, "fields", fields)
+        object.__setattr__(record, "_values", values)
+        return record
+
+    @classmethod
     def build(cls, record_id: int, schema: Schema, **raw: RawValue) -> "Record":
         """Construct a record validated against ``schema``.
 

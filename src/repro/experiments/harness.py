@@ -36,13 +36,13 @@ def _table_source(table: RelationalTable, share: bool):
     workers, after fork), ``payloads`` goes on the grid for shm-byte
     accounting, and ``cleanup()`` must run once the grid is done.
 
-    With ``share`` and a supported platform the table is flattened into
-    one shared-memory block (:func:`repro.core.shmtable.share_table`)
-    and every worker attaches the same read-only view — identical crawl
-    results, no per-worker table copy.  Otherwise workers close over
-    the table object itself (the legacy path).
+    With ``share`` the table is copied into one shared-memory block
+    (:func:`repro.core.shmtable.share_table`) and every worker attaches
+    a table over it — identical crawl results, posting arrays shared
+    rather than copied per worker.  Otherwise workers close over the
+    table object itself.
     """
-    if share and shmtable.supported() and len(table) > 0:
+    if share and len(table) > 0:
         handle = shmtable.share_table(table)
         return handle.table, (handle,), handle.unlink
     return (lambda: table), (), (lambda: None)

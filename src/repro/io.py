@@ -100,22 +100,32 @@ def table_to_dict(table: RelationalTable) -> dict:
 
 
 def table_from_dict(payload: dict, path: PathLike = "<dict>") -> RelationalTable:
+    """Rebuild a table dumped by :func:`table_to_dict`.
+
+    A missing key raises :class:`PersistenceError`; a record the schema
+    does not allow raises :class:`~repro.core.errors.SchemaError`.
+    """
     _check_format(payload, _TABLE_FORMAT, path)
-    schema = Schema(
-        tuple(
-            Attribute(
-                entry["name"],
-                entry.get("queriable", True),
-                entry.get("displayed", True),
-                entry.get("multivalued", False),
+    try:
+        schema = Schema(
+            tuple(
+                Attribute(
+                    entry["name"],
+                    entry.get("queriable", True),
+                    entry.get("displayed", True),
+                    entry.get("multivalued", False),
+                )
+                for entry in payload["schema"]
             )
-            for entry in payload["schema"]
         )
-    )
-    table = RelationalTable(schema, name=payload.get("name", "db"))
-    for entry in payload["records"]:
-        fields = {k: tuple(v) for k, v in entry["fields"].items()}
-        table.insert(Record(int(entry["id"]), fields))
+        table = RelationalTable(schema, name=payload.get("name", "db"))
+        for entry in payload["records"]:
+            fields = {k: tuple(v) for k, v in entry["fields"].items()}
+            table.insert(Record(int(entry["id"]), fields))
+    except KeyError as error:
+        raise PersistenceError(
+            f"{path}: table is missing key {error.args[0]!r}"
+        ) from error
     return table
 
 

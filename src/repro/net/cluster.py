@@ -9,8 +9,8 @@ Each worker process runs its own event loop and service, binds its
 the kernel load-balances accepted connections across workers.  Source
 tables are not copied per worker: the parent publishes each table once
 through :func:`repro.core.shmtable.share_table` and every worker
-attaches the read-only :class:`~repro.core.shmtable.FrozenTableView`
-(falling back to a pickled copy where shared memory is unavailable).
+attaches a :class:`~repro.core.table.RelationalTable` over the block
+(falling back to a pickled copy when the block cannot be created).
 ``SO_REUSEPORT`` is required; without it :class:`SourceCluster` refuses
 to start.
 
@@ -95,8 +95,9 @@ def _reuseport_socket(host: str, port: int) -> socket.socket:
 class SourceRecipe:
     """Everything a worker needs to rebuild one mounted source.
 
-    The table travels as a :class:`SharedTableHandle` (attach-once,
-    zero-copy) when shared memory is available, else as a pickle; the
+    The table travels as a :class:`SharedTableHandle` (attach-once;
+    the posting arrays are read in place) unless the block cannot be
+    created or ``use_shared_memory`` is off, else as a pickle; the
     rest of :class:`~repro.server.webdb.SimulatedWebDatabase` is cheap
     immutable configuration rebuilt per worker.  Per-worker rebuild is
     what makes the lane correct: the communication log and order cache
@@ -116,10 +117,10 @@ class SourceRecipe:
     ) -> "SourceRecipe":
         handle = None
         payload = None
-        if use_shared_memory and shmtable.supported():
+        if use_shared_memory:
             try:
                 handle = shmtable.share_table(source.table)
-            except Exception:  # noqa: BLE001 - pickle fallback below
+            except OSError:  # /dev/shm missing or full: pickle below
                 handle = None
         if handle is None:
             payload = pickle.dumps(source.table)

@@ -1,9 +1,9 @@
 """Shared-memory table payloads: round-trip fidelity and lifecycle.
 
-``repro.core.shmtable`` flattens a :class:`RelationalTable` into one
-shared-memory block and serves it back through a read-only
-:class:`FrozenTableView`.  The view stands in for the table inside grid
-workers, so every read path the crawler touches — records, postings,
+``repro.core.shmtable`` copies a :class:`RelationalTable` into one
+shared-memory block and attaches it back as a ``RelationalTable`` over
+the block's buffers.  The attached table stands in for the original
+inside grid workers, so every read path the crawler touches — records, postings,
 match semantics *including tie order* — must be indistinguishable from
 the original, and the block itself must not outlive the grid.
 """
@@ -15,11 +15,6 @@ import pytest
 from repro.core import AttributeValue, Query
 from repro.core import shmtable
 from repro.datasets.ebay import generate_ebay
-
-pytestmark = pytest.mark.skipif(
-    not shmtable.supported(), reason="shared-memory payloads unsupported"
-)
-
 
 @pytest.fixture(scope="module")
 def table():

@@ -77,6 +77,29 @@ class TestRecipeRoundTrip:
         assert rebuilt.page_size == 7
         assert len(rebuilt.table) == len(small_table)
 
+    def test_block_creation_failure_falls_back_to_pickle(
+        self, small_table, monkeypatch
+    ):
+        def no_room(table):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("repro.core.shmtable.share_table", no_room)
+        recipe = SourceRecipe.from_source(
+            "imdb", SimulatedWebDatabase(small_table, page_size=10)
+        )
+        assert recipe.handle is None
+        assert len(recipe.build().table) == len(small_table)
+
+    def test_share_table_bug_is_not_hidden(self, small_table, monkeypatch):
+        def broken(table):
+            raise ValueError("packing bug")
+
+        monkeypatch.setattr("repro.core.shmtable.share_table", broken)
+        with pytest.raises(ValueError, match="packing bug"):
+            SourceRecipe.from_source(
+                "imdb", SimulatedWebDatabase(small_table, page_size=10)
+            )
+
 
 class TestMergeRuntimeStates:
     def test_merge_is_order_stable_and_additive(self):

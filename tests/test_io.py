@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import io
+from repro.core import SchemaError
 from repro.crawler import CrawlHistory
 from repro.datasets import generate_ebay
 from repro.domain import build_domain_table
@@ -59,6 +60,28 @@ class TestTableRoundtrip:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(io.PersistenceError):
             io.load_table(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("drop", ["records", "id", "fields"])
+    def test_missing_key_names_the_path(self, books, tmp_path, drop):
+        payload = io.table_to_dict(books)
+        if drop == "records":
+            del payload["records"]
+        else:
+            del payload["records"][0][drop]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(io.PersistenceError, match=f"partial.json.*'{drop}'"):
+            io.load_table(path)
+
+    def test_several_values_on_single_valued_attribute_rejected(
+        self, books, tmp_path
+    ):
+        payload = io.table_to_dict(books)
+        payload["records"][0]["fields"]["title"] = ["one", "two"]
+        path = tmp_path / "double.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="single-valued"):
+            io.load_table(path)
 
 
 class TestDomainTableRoundtrip:
